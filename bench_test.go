@@ -15,6 +15,7 @@ import (
 
 	"jxplain/internal/core"
 	"jxplain/internal/dataset"
+	"jxplain/internal/dist"
 	"jxplain/internal/entity"
 	"jxplain/internal/entropy"
 	"jxplain/internal/experiments"
@@ -349,8 +350,9 @@ func BenchmarkBimaxClustering(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelPathStats compares the sequential pass ① with the
-// partitioned-fold version across worker counts.
+// BenchmarkParallelPathStats compares the sequential pass-① walker with
+// partitioned PathSketch folds (one sketch per contiguous part, merged in
+// order) through dist across worker counts.
 func BenchmarkParallelPathStats(b *testing.B) {
 	types := benchTypes(b, "twitter", 2000)
 	bag := &jsontype.Bag{}
@@ -365,7 +367,11 @@ func BenchmarkParallelPathStats(b *testing.B) {
 	for _, workers := range []int{2, 4} {
 		b.Run(fmt.Sprintf("fold-%dw", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ParallelCollectPathStats(types, workers, core.Default())
+				dist.Fold(types, workers,
+					core.NewPathSketch,
+					func(s *core.PathSketch, t *jsontype.Type) *core.PathSketch { s.Add(t); return s },
+					func(a, o *core.PathSketch) *core.PathSketch { a.Merge(o); return a },
+				).Stats(core.Default())
 			}
 		})
 	}

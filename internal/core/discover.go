@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"jxplain/internal/dist"
 	"jxplain/internal/entity"
 	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
@@ -86,7 +87,7 @@ type decider interface {
 // calls, keyed by (path, bag content hash).
 type synthesizer struct {
 	dec  decider
-	pool *workPool
+	pool *dist.Pool
 	memo *mergeMemo
 }
 
@@ -113,7 +114,7 @@ func (s *synthesizer) mergeUncached(path string, bag *jsontype.Bag) schema.Schem
 		} else {
 			parts := s.dec.partitionArrays(path, arrays)
 			partAlts := make([]schema.Schema, len(parts))
-			s.pool.forEach(len(parts), func(i int) {
+			s.pool.ForEach(len(parts), func(i int) {
 				partAlts[i] = s.mergeArrayTuple(path, parts[i])
 			})
 			alts = append(alts, partAlts...)
@@ -125,7 +126,7 @@ func (s *synthesizer) mergeUncached(path string, bag *jsontype.Bag) schema.Schem
 		} else {
 			parts := s.dec.partitionObjects(path, objects)
 			partAlts := make([]schema.Schema, len(parts))
-			s.pool.forEach(len(parts), func(i int) {
+			s.pool.ForEach(len(parts), func(i int) {
 				partAlts[i] = s.mergeObjectTuple(path, parts[i])
 			})
 			alts = append(alts, partAlts...)
@@ -169,7 +170,7 @@ func (s *synthesizer) mergeObjectTuple(path string, bag *jsontype.Bag) schema.Sc
 	keys, groups, present := bag.GroupByKey()
 	total := bag.Len()
 	fields := make([]schema.FieldSchema, len(keys))
-	s.pool.forEach(len(keys), func(i int) {
+	s.pool.ForEach(len(keys), func(i int) {
 		fields[i] = schema.FieldSchema{Key: keys[i], Schema: s.merge(childKeyPath(path, keys[i]), groups[i])}
 	})
 	var required, optional []schema.FieldSchema
@@ -196,7 +197,7 @@ func (s *synthesizer) mergeArrayTuple(path string, bag *jsontype.Bag) schema.Sch
 		minLen = 0
 	}
 	elems := make([]schema.Schema, len(groups))
-	s.pool.forEach(len(groups), func(i int) {
+	s.pool.ForEach(len(groups), func(i int) {
 		elems[i] = s.merge(arrayIndexPath(path, i), groups[i])
 	})
 	return &schema.ArrayTuple{Elems: elems, MinLen: minLen}

@@ -1,10 +1,8 @@
 package core
 
 import (
+	"runtime"
 	"sort"
-
-	"jxplain/internal/dist"
-	"jxplain/internal/jsontype"
 )
 
 // Parallel pass ①. CollectPathStats walks the whole bag sequentially; on a
@@ -18,57 +16,32 @@ import (
 //     (each partition keeps its maximal type; partitions are jointly
 //     similar iff their maximal types are similar).
 //
-// statsTrie (statstrie.go) is the per-partition state; this file holds the
-// fold drivers and the gate deciding when fanning out is worth it. The
-// same mergeability is what the wire format (wire.go) ships across
-// processes: a sketch serialized on one machine folds into another
-// machine's trie exactly as an in-process Merge would.
+// statsTrie (statstrie.go) is the per-partition state, sketchFromBag
+// (sketch.go) the one fold driver, and this file the rule deciding how
+// wide the config-driven fan-outs run. The same mergeability is what the
+// wire format (wire.go) ships across processes: a sketch serialized on
+// one machine folds into another machine's trie exactly as an in-process
+// Merge would.
 
-// parallelCutover is the distinct-record-type count below which the
+// ParallelCutover is the distinct-record-type count below which the
 // config-driven parallel paths — the pass-① partitioned fold and the
 // pass-②/③ synthesis fan-out — run sequentially. Goroutine fan-out and
 // fan-in merging carry a fixed cost per op; on collections with little
 // distinct structure that overhead exceeds the fold's work and the
 // "parallel" run measures slower than the sequential one (the hotpath
 // benchmark showed par_ns_per_op > ns_per_op exactly on the datasets
-// whose distinct-type count sits below this bound). Explicit-workers
-// entry points (ParallelCollectPathStats and friends) are not gated:
-// a caller passing a worker count gets that worker count.
-const parallelCutover = 4096
+// whose distinct-type count sits below this bound). Exported so harnesses
+// and tests can tell whether an input fans out.
+const ParallelCutover = 4096
 
-// effectiveWorkers returns the worker count a config-driven site should
-// actually use for a collection with the given distinct-type count.
-func effectiveWorkers(workers, distinct int) int {
-	if distinct < parallelCutover {
+// fanOutWidth is the worker count of every config-driven fan-out over a
+// collection with the given distinct-type count: 1 below the parallel
+// cutover, otherwise one per schedulable core.
+func fanOutWidth(distinct int) int {
+	if distinct < ParallelCutover {
 		return 1
 	}
-	return workers
-}
-
-// EffectiveWorkers reports the worker count the config-driven pipeline
-// stages will actually use for a collection with the given distinct-type
-// count — 1 when the collection falls below the parallel cutover.
-// Exported for benchmark harnesses that must know whether a "parallel"
-// configuration genuinely fans out.
-func EffectiveWorkers(workers, distinct int) int {
-	return effectiveWorkers(workers, distinct)
-}
-
-// ParallelCollectPathStats computes pass ① as a partitioned fold over the
-// record types with the given worker count. It produces the same path
-// statistics as CollectPathStats on the same data.
-func ParallelCollectPathStats(types []*jsontype.Type, workers int, cfg Config) []PathStat {
-	sketch := dist.Fold(types, workers,
-		NewPathSketch,
-		func(s *PathSketch, ty *jsontype.Type) *PathSketch { s.Add(ty); return s },
-		func(a, b *PathSketch) *PathSketch { a.Merge(b); return a })
-	return sketch.Stats(cfg)
-}
-
-// ParallelCollectPathStatsBag is ParallelCollectPathStats over a bag: the
-// fold runs over the distinct types, weighting each by its multiplicity.
-func ParallelCollectPathStatsBag(bag *jsontype.Bag, workers int, cfg Config) []PathStat {
-	return sketchFromBag(bag, workers).Stats(cfg)
+	return runtime.GOMAXPROCS(0)
 }
 
 func deriveStats(root *statsTrie, cfg Config) []PathStat {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"jxplain/internal/dist"
 	"jxplain/internal/entity"
 	"jxplain/internal/jsontype"
 	"jxplain/internal/schema"
@@ -29,6 +31,16 @@ func pathStatsEqual(a, b []PathStat) string {
 	return ""
 }
 
+// partitionedStats is pass ① as the per-partition-trie fold: the types
+// split into k contiguous parts, each folded into its own PathSketch
+// concurrently, the parts merged in order.
+func partitionedStats(types []*jsontype.Type, k int, cfg Config) []PathStat {
+	return dist.Fold(types, k,
+		NewPathSketch,
+		func(s *PathSketch, ty *jsontype.Type) *PathSketch { s.Add(ty); return s },
+		func(a, b *PathSketch) *PathSketch { a.Merge(b); return a }).Stats(cfg)
+}
+
 func TestParallelPathStatsMatchesSequential(t *testing.T) {
 	bag := bagFrom(t,
 		`{"ts":7,"event":"login","user":{"name":"bob","geo":[1.1,2.2]}}`,
@@ -36,7 +48,6 @@ func TestParallelPathStatsMatchesSequential(t *testing.T) {
 		`{"ts":9,"event":"login","user":{"name":"eve","geo":[3.0,4.5]}}`,
 	)
 	seq := CollectPathStats(bag, Default())
-	par := ParallelCollectPathStats(bag.Types(), 3, Default())
 	// bag.Types() is deduplicated; rebuild the full slice for fairness.
 	var types []*jsontype.Type
 	bag.Each(func(ty *jsontype.Type, n int) {
@@ -44,7 +55,7 @@ func TestParallelPathStatsMatchesSequential(t *testing.T) {
 			types = append(types, ty)
 		}
 	})
-	par = ParallelCollectPathStats(types, 3, Default())
+	par := partitionedStats(types, 3, Default())
 	if diff := pathStatsEqual(seq, par); diff != "" {
 		t.Errorf("parallel diverges: %s", diff)
 	}
@@ -63,7 +74,7 @@ func TestParallelPathStatsCollectionMerging(t *testing.T) {
 	}
 	seq := CollectPathStats(bag, Default())
 	for _, workers := range []int{1, 2, 5, 16} {
-		par := ParallelCollectPathStats(types, workers, Default())
+		par := partitionedStats(types, workers, Default())
 		if diff := pathStatsEqual(seq, par); diff != "" {
 			t.Errorf("workers=%d: %s", workers, diff)
 		}
@@ -83,7 +94,7 @@ func TestParallelPathStatsRandom(t *testing.T) {
 			bag.Add(typ)
 		}
 		seq := CollectPathStats(bag, Default())
-		par := ParallelCollectPathStats(types, 1+r.Intn(7), Default())
+		par := partitionedStats(types, 1+r.Intn(7), Default())
 		if diff := pathStatsEqual(seq, par); diff != "" {
 			t.Fatalf("trial %d: %s", trial, diff)
 		}
@@ -122,28 +133,13 @@ func randomRecord(r *rand.Rand) *jsontype.Type {
 	return jsontype.MustFromValue(rec)
 }
 
-func TestPipelineWithStatsWorkers(t *testing.T) {
-	bag := bagFrom(t,
-		`{"ts":7,"event":"login","user":{"name":"bob","geo":[1.1,2.2]}}`,
-		`{"ts":8,"event":"serve","files":["a.txt","b.txt"]}`,
-		`{"m":{"k1":1,"k2":2}}`,
-	)
-	serial := Pipeline(bag, Default())
-	cfg := Default()
-	cfg.StatsWorkers = 4
-	parallel := Pipeline(bag, cfg)
-	if !schema.Equal(schema.Simplify(serial), schema.Simplify(parallel)) {
-		t.Errorf("parallel pass ① changed the schema:\n%s\n%s", serial, parallel)
-	}
-}
-
 func TestParallelCollectPathStatsBagMatches(t *testing.T) {
 	bag := &jsontype.Bag{}
 	bag.AddN(ty(t, `{"a":1,"b":"x"}`), 7)
 	bag.AddN(ty(t, `{"a":2}`), 3)
 	bag.Add(ty(t, `{"c":[1,2,3]}`))
 	seq := CollectPathStats(bag, Default())
-	par := ParallelCollectPathStatsBag(bag, 3, Default())
+	par := sketchFromBag(bag, 3).Stats(Default())
 	if diff := pathStatsEqual(seq, par); diff != "" {
 		t.Errorf("bag variant diverges: %s", diff)
 	}
@@ -179,11 +175,11 @@ func TestBuildFeatureSetDirect(t *testing.T) {
 }
 
 func TestParallelPathStatsEmptyAndPrimitive(t *testing.T) {
-	if got := ParallelCollectPathStats(nil, 4, Default()); len(got) != 0 {
+	if got := partitionedStats(nil, 4, Default()); len(got) != 0 {
 		t.Error("no records → no stats")
 	}
 	prim := []*jsontype.Type{jsontype.Number, jsontype.String}
-	if got := ParallelCollectPathStats(prim, 2, Default()); len(got) != 0 {
+	if got := partitionedStats(prim, 2, Default()); len(got) != 0 {
 		t.Error("primitive-only records have no complex paths")
 	}
 }
@@ -204,46 +200,50 @@ func TestParallelPathStatsOnDatasetShapes(t *testing.T) {
 	})
 	for _, cfg := range cfgs {
 		seq := CollectPathStats(bag, cfg)
-		par := ParallelCollectPathStats(types, 4, cfg)
+		par := partitionedStats(types, 4, cfg)
 		if diff := pathStatsEqual(seq, par); diff != "" {
 			t.Errorf("cfg %v: %s", cfg.Partition, diff)
 		}
 	}
 }
 
-func TestEffectiveWorkersCutover(t *testing.T) {
-	cases := []struct{ workers, distinct, want int }{
-		{8, 0, 1},
-		{8, parallelCutover - 1, 1},
-		{8, parallelCutover, 8},
-		{8, parallelCutover + 1, 8},
-		{1, parallelCutover, 1},
-		{0, parallelCutover - 1, 1},
-	}
-	for _, c := range cases {
-		if got := effectiveWorkers(c.workers, c.distinct); got != c.want {
-			t.Errorf("effectiveWorkers(%d, %d) = %d, want %d", c.workers, c.distinct, got, c.want)
+func TestFanOutWidthCutover(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		cases := []struct{ distinct, want int }{
+			{0, 1},
+			{1, 1},
+			{ParallelCutover - 1, 1},
+			{ParallelCutover, procs},
+			{ParallelCutover + 1, procs},
+			{10 * ParallelCutover, procs},
+		}
+		for _, c := range cases {
+			if got := fanOutWidth(c.distinct); got != c.want {
+				t.Errorf("GOMAXPROCS=%d: fanOutWidth(%d) = %d, want %d", procs, c.distinct, got, c.want)
+			}
 		}
 	}
 }
 
 func TestPipelineParallelAboveCutoverMatchesSequential(t *testing.T) {
-	// Enough distinct record types to clear the cutover, so the
-	// config-driven parallel paths genuinely fan out and must still
-	// produce the byte-identical schema.
+	// Enough distinct record types to clear the cutover, so at
+	// GOMAXPROCS > 1 the pass-① fold and the pass-②/③ pool genuinely fan
+	// out and must still produce the schema of the GOMAXPROCS=1 run.
 	if testing.Short() {
 		t.Skip("builds a bag above the parallel cutover")
 	}
 	bag := &jsontype.Bag{}
-	for i := 0; i < parallelCutover+16; i++ {
+	for i := 0; i < ParallelCutover+16; i++ {
 		src := fmt.Sprintf(`{"id":%d,"v%d":1}`, i, i%5000)
 		bag.Add(ty(t, src))
 	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	serial := Pipeline(bag, Default())
-	cfg := Default()
-	cfg.StatsWorkers = 4
-	cfg.SynthWorkers = 4
-	parallel := Pipeline(bag, cfg)
+	runtime.GOMAXPROCS(4)
+	parallel := Pipeline(bag, Default())
 	if !schema.Equal(serial, parallel) {
 		t.Error("parallel synthesis above the cutover changed the schema")
 	}

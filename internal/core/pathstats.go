@@ -21,11 +21,13 @@ type PathStat struct {
 	Evidence entropy.Evidence
 }
 
-// CollectPathStats runs pass ① of the staged pipeline: a single top-down
-// walk grouping values by path and applying the Section 5 heuristic at
-// every complex-kinded path. Descent follows the decisions: below a
-// detected collection all elements share one wildcard path; below tuples
-// each key (or index) gets its own path. Results are sorted by path.
+// CollectPathStats computes pass ① as a single sequential top-down walk,
+// grouping values by path and applying the Section 5 heuristic at every
+// complex-kinded path. Descent follows the decisions: below a detected
+// collection all elements share one wildcard path; below tuples each key
+// (or index) gets its own path. Results are sorted by path. The pipeline
+// itself derives pass ① from a PathSketch; this walker is the reference
+// the sketch's rows are tested against and the experiments report from.
 func CollectPathStats(bag *jsontype.Bag, cfg Config) []PathStat {
 	var out []PathStat
 	collectStats(RootPath, bag, cfg, &out)

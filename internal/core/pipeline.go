@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"jxplain/internal/dist"
 	"jxplain/internal/entropy"
 	"jxplain/internal/jsontype"
 	"jxplain/internal/schema"
@@ -15,7 +16,7 @@ import (
 
 // Pipeline runs JXPLAIN as the staged three-pass computation of Figure 3:
 //
-//	pass ① — CollectPathStats walks the data once and fixes, per path,
+//	pass ① — a PathSketch folds the data once and fixes, per path,
 //	         whether complex values are tuples or collections;
 //	pass ② — a second walk precomputes, per tuple path, a deterministic
 //	         strategy assigning each observed key set to an entity;
@@ -119,7 +120,7 @@ func (a *Accumulator) AddBag(chunk *jsontype.Bag) {
 		a.bag.Merge(chunk)
 	}
 	if a.sketch != nil {
-		if w := effectiveWorkers(a.cfg.StatsWorkers, chunk.Distinct()); w > 1 {
+		if w := fanOutWidth(chunk.Distinct()); w > 1 {
 			a.sketch.Merge(sketchFromBag(chunk, w))
 		} else {
 			a.sketch.AddBag(chunk)
@@ -197,11 +198,8 @@ func (a *Accumulator) Stats() []PathStat {
 	if a.sketch != nil {
 		return a.statsSketch().Stats(a.cfg)
 	}
-	statsBag := SampleBag(a.unionBag(), a.cfg.DetectionSample, a.cfg.Seed)
-	if w := effectiveWorkers(a.cfg.StatsWorkers, statsBag.Distinct()); w > 1 {
-		return ParallelCollectPathStatsBag(statsBag, w, a.cfg)
-	}
-	return CollectPathStats(statsBag, a.cfg)
+	sample := SampleBag(a.unionBag(), a.cfg.DetectionSample, a.cfg.Seed)
+	return sketchFromBag(sample, fanOutWidth(sample.Distinct())).Stats(a.cfg)
 }
 
 // Finish runs passes ② and ③ over the accumulated collection and returns
@@ -215,7 +213,7 @@ func (a *Accumulator) Finish() schema.Schema {
 // synthesize runs passes ② and ③ over the full bag, consulting the
 // precomputed pass-① statistics. memo may be nil (no caching).
 func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo) schema.Schema {
-	pool := newWorkPool(effectiveWorkers(cfg.SynthWorkers, bag.Distinct()))
+	pool := dist.NewPool(fanOutWidth(bag.Distinct()))
 	dec := &pipelineDecider{
 		cfg:       cfg,
 		decisions: decisionMap(stats),
@@ -315,7 +313,7 @@ func keySetCanon(names []string) string {
 type pipelineDecider struct {
 	cfg       Config
 	decisions map[string]pathDecision
-	pool      *workPool
+	pool      *dist.Pool
 
 	// mu guards plans during the concurrent pass-② walk and the
 	// plan.assign fallback writes during pass ③; decisions is read-only
@@ -450,7 +448,7 @@ func (d *pipelineDecider) collectPlans(path string, bag *jsontype.Bag) {
 			}
 		}
 	}
-	d.pool.forEach(len(children), func(i int) {
+	d.pool.ForEach(len(children), func(i int) {
 		d.collectPlans(children[i].path, children[i].bag)
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"jxplain/internal/jsontype"
@@ -95,5 +96,30 @@ func TestPipelineWithDetectionSample(t *testing.T) {
 	exact1 := PipelineTypes(types, cfg)
 	if !schema.Equal(exact0, exact1) {
 		t.Error("DetectionSample 0 and 1 must both be exact")
+	}
+}
+
+// TestSampledStatsMatchWalker pins the sampled pass ①: Accumulator.Stats
+// derives its rows from a sketch of the sample, and those rows must equal
+// the sequential walker's over the same sample — decisions exactly,
+// evidence within pathStatsEqual's tolerance.
+func TestSampledStatsMatchWalker(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		bag := &jsontype.Bag{}
+		for i := 0; i < 100+r.Intn(400); i++ {
+			bag.Add(randomRecord(r))
+		}
+		for _, f := range []float64{0.05, 0.3} {
+			cfg := Default()
+			cfg.DetectionSample = f
+			cfg.Seed = int64(trial)
+			acc := NewAccumulator(cfg)
+			acc.AddBag(bag)
+			want := CollectPathStats(SampleBag(bag, f, cfg.Seed), cfg)
+			if diff := pathStatsEqual(want, acc.Stats()); diff != "" {
+				t.Fatalf("trial %d, sample %v: %s", trial, f, diff)
+			}
+		}
 	}
 }

@@ -84,8 +84,9 @@ func (s *PathSketch) Nodes() int { return s.root.nodeCount() }
 // and Stats called again.
 func (s *PathSketch) Stats(cfg Config) []PathStat { return deriveStats(s.root, cfg) }
 
-// sketchFromBag builds a sketch over the bag, folding in parallel across
-// workers when asked (workers <= 1 folds sequentially).
+// sketchFromBag is the pass-① fold driver: it builds a sketch over the
+// bag, folding contiguous ranges of its distinct types in parallel across
+// workers (workers <= 1 folds sequentially).
 func sketchFromBag(bag *jsontype.Bag, workers int) *PathSketch {
 	if workers <= 1 || bag.Distinct() < 2 {
 		s := NewPathSketch()

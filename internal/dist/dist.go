@@ -1,13 +1,14 @@
 // Package dist is a miniature data-parallel execution framework standing in
 // for the Apache Spark substrate of the paper's implementation. It provides
-// partitioned map and fold (fan-in aggregation) over in-memory slices.
+// one bounded fan-out primitive (Pool) and, on top of it, partitioned map
+// and fold (fan-in aggregation) over in-memory slices.
 //
 // The paper's key observation about K-reduction is that its merge operator
 // is commutative and associative, so schema extraction can run as a
 // partitioned fold followed by a combine tree — exactly the shape Fold
 // implements. JXPLAIN's global heuristics break this property, which is why
 // core.Pipeline instead runs as a sequence of whole-collection passes
-// (each of which is itself parallelized with Map/Fold here).
+// (each of which is itself parallelized through this package).
 package dist
 
 import (
@@ -22,6 +23,57 @@ func DefaultWorkers() int {
 		n = 1
 	}
 	return n
+}
+
+// Pool bounds the goroutines of a fan-out. A nil pool runs everything
+// sequentially on the caller's goroutine. The pool never blocks waiting
+// for a slot: when all slots are busy the work item runs inline on the
+// caller's goroutine, which keeps recursive fan-out deadlock-free (a
+// parent holding no slot can always make progress on its own children)
+// and caps live goroutines at the pool's width.
+type Pool struct {
+	sem chan struct{}
+}
+
+// NewPool returns a pool with the given parallelism, or nil when
+// workers <= 1 (sequential).
+func NewPool(workers int) *Pool {
+	if workers <= 1 {
+		return nil
+	}
+	return &Pool{sem: make(chan struct{}, workers)}
+}
+
+// ForEach runs fn(0..n-1), concurrently when slots are available, and
+// returns once all calls complete. Callers obtain determinism by writing
+// results into position i of a pre-sized slice and combining in index
+// order after ForEach returns.
+//
+//jx:pool inline-fallback fan-out; callers write results by index per the ForEach contract
+func (p *Pool) ForEach(n int, fn func(i int)) {
+	if p == nil || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		select {
+		case p.sem <- struct{}{}:
+			wg.Add(1)
+			go func(i int) {
+				defer func() {
+					<-p.sem
+					wg.Done()
+				}()
+				fn(i)
+			}(i)
+		default:
+			fn(i)
+		}
+	}
+	wg.Wait()
 }
 
 // split partitions n items into at most workers contiguous ranges.
@@ -52,22 +104,9 @@ func split(n, workers int) [][2]int {
 
 // Map applies fn to every item in parallel and returns the results in input
 // order.
-//
-//jx:pool workers write disjoint ranges of the pre-sized out slice
 func Map[T, U any](items []T, workers int, fn func(T) U) []U {
 	out := make([]U, len(items))
-	parts := split(len(items), workers)
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = fn(items[i])
-			}
-		}(p[0], p[1])
-	}
-	wg.Wait()
+	ForEach(len(items), workers, func(i int) { out[i] = fn(items[i]) })
 	return out
 }
 
@@ -75,27 +114,19 @@ func Map[T, U any](items []T, workers int, fn func(T) U) []U {
 // into a fresh accumulator with add, then the per-worker accumulators are
 // combined left-to-right. combine must be associative for the result to be
 // independent of the partitioning; add(acc, item) may mutate and return acc.
-//
-//jx:pool each worker folds into its own accumulator, stored at accs[pi]; combine runs after Wait
 func Fold[T, A any](items []T, workers int, newAcc func() A, add func(A, T) A, combine func(A, A) A) A {
 	parts := split(len(items), workers)
 	if len(parts) == 0 {
 		return newAcc()
 	}
 	accs := make([]A, len(parts))
-	var wg sync.WaitGroup
-	for pi, p := range parts {
-		wg.Add(1)
-		go func(pi, lo, hi int) {
-			defer wg.Done()
-			acc := newAcc()
-			for i := lo; i < hi; i++ {
-				acc = add(acc, items[i])
-			}
-			accs[pi] = acc
-		}(pi, p[0], p[1])
-	}
-	wg.Wait()
+	NewPool(len(parts)).ForEach(len(parts), func(pi int) {
+		acc := newAcc()
+		for i := parts[pi][0]; i < parts[pi][1]; i++ {
+			acc = add(acc, items[i])
+		}
+		accs[pi] = acc
+	})
 	result := accs[0]
 	for _, a := range accs[1:] {
 		result = combine(result, a)
@@ -103,21 +134,14 @@ func Fold[T, A any](items []T, workers int, newAcc func() A, add func(A, T) A, c
 	return result
 }
 
-// ForEach runs fn over every index in parallel; use when results are
-// written into caller-owned structures indexed by i.
-//
-//jx:pool workers cover disjoint index ranges; the write-by-index contract is the caller's
+// ForEach runs fn over every index in parallel, one contiguous range per
+// worker; use when results are written into caller-owned structures
+// indexed by i.
 func ForEach(n, workers int, fn func(i int)) {
 	parts := split(n, workers)
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(p[0], p[1])
-	}
-	wg.Wait()
+	NewPool(len(parts)).ForEach(len(parts), func(pi int) {
+		for i := parts[pi][0]; i < parts[pi][1]; i++ {
+			fn(i)
+		}
+	})
 }

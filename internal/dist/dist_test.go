@@ -119,3 +119,53 @@ func TestDefaultWorkersPositive(t *testing.T) {
 		t.Error("DefaultWorkers must be >= 1")
 	}
 }
+
+func TestPoolNilIsSequential(t *testing.T) {
+	for _, w := range []int{-1, 0, 1} {
+		if NewPool(w) != nil {
+			t.Errorf("NewPool(%d) should be nil (sequential)", w)
+		}
+	}
+	var order []int
+	NewPool(1).ForEach(5, func(i int) { order = append(order, i) })
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("nil pool visited %v, want index order", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("nil pool visited %d items, want 5", len(order))
+	}
+}
+
+// TestPoolBoundedAndReentrant checks the pool's two contracts: at most
+// width spawned goroutines plus the inline caller run at once, and a
+// fan-out nested inside a pooled call completes (full slots fall back to
+// inline execution instead of blocking).
+func TestPoolBoundedAndReentrant(t *testing.T) {
+	const width = 3
+	p := NewPool(width)
+	var live, peak atomic.Int32
+	visits := make([]int32, 40*10)
+	p.ForEach(40, func(i int) {
+		p.ForEach(10, func(j int) {
+			n := live.Add(1)
+			for {
+				old := peak.Load()
+				if n <= old || peak.CompareAndSwap(old, n) {
+					break
+				}
+			}
+			atomic.AddInt32(&visits[i*10+j], 1)
+			live.Add(-1)
+		})
+	})
+	for i, v := range visits {
+		if v != 1 {
+			t.Fatalf("item %d visited %d times", i, v)
+		}
+	}
+	if got := peak.Load(); got > width+1 {
+		t.Errorf("peak concurrency %d exceeds width %d plus the caller", got, width)
+	}
+}

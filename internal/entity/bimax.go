@@ -2,7 +2,8 @@ package entity
 
 import (
 	"sort"
-	"sync"
+
+	"jxplain/internal/dist"
 )
 
 // Cluster is one discovered entity: a group of input key sets together
@@ -254,32 +255,25 @@ func Transpose(sets []KeySet, dim int) []KeySet {
 // locks; a first (parallel) presence pass determines which columns are
 // non-empty so storage is allocated exactly as the serial walk would.
 // Output is identical to Transpose.
-//
-//jx:pool stripes are 64-row aligned, so workers write disjoint words of each column
 func TransposeParallel(sets []KeySet, dim, workers int) []KeySet {
 	stripes := transposeStripes(len(sets), workers)
 	if len(stripes) <= 1 {
 		return Transpose(sets, dim)
 	}
+	pool := dist.NewPool(len(stripes))
 	// Pass 1: which columns does each stripe touch?
 	present := make([][]bool, len(stripes))
-	var wg sync.WaitGroup
-	for si, st := range stripes {
-		wg.Add(1)
-		go func(si int, lo, hi int) {
-			defer wg.Done()
-			p := make([]bool, dim)
-			for _, ks := range sets[lo:hi] {
-				ks.Each(func(id int) {
-					if id < dim {
-						p[id] = true
-					}
-				})
-			}
-			present[si] = p
-		}(si, st[0], st[1])
-	}
-	wg.Wait()
+	pool.ForEach(len(stripes), func(si int) {
+		p := make([]bool, dim)
+		for _, ks := range sets[stripes[si][0]:stripes[si][1]] {
+			ks.Each(func(id int) {
+				if id < dim {
+					p[id] = true
+				}
+			})
+		}
+		present[si] = p
+	})
 
 	words := (len(sets) + wordBits - 1) / wordBits
 	cols := make([]KeySet, dim)
@@ -293,20 +287,15 @@ func TransposeParallel(sets []KeySet, dim, workers int) []KeySet {
 	}
 	// Pass 2: fill. Stripe s writes only words [lo/64, hi/64) of each
 	// column — disjoint across stripes by the 64-row alignment.
-	for _, st := range stripes {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for ri := lo; ri < hi; ri++ {
-				sets[ri].Each(func(id int) {
-					if id < dim {
-						cols[id][ri/wordBits] |= 1 << (uint(ri) % wordBits)
-					}
-				})
-			}
-		}(st[0], st[1])
-	}
-	wg.Wait()
+	pool.ForEach(len(stripes), func(si int) {
+		for ri := stripes[si][0]; ri < stripes[si][1]; ri++ {
+			sets[ri].Each(func(id int) {
+				if id < dim {
+					cols[id][ri/wordBits] |= 1 << (uint(ri) % wordBits)
+				}
+			})
+		}
+	})
 	for i, c := range cols {
 		if c == nil {
 			cols[i] = KeySet{}

@@ -35,16 +35,17 @@ type HotpathRow struct {
 	DistinctTypes int    `json:"distinct_types"`
 	InputBytes    int    `json:"input_bytes"`
 
-	// Sequential run (SynthWorkers=0), directly comparable to the PR-1
-	// baseline captured with the same op and iteration count.
+	// Sequential run (GOMAXPROCS=1, so no pass fans out), directly
+	// comparable to the PR-1 baseline captured with the same op and
+	// iteration count.
 	NsPerOp       float64 `json:"ns_per_op"`
 	AllocsPerOp   float64 `json:"allocs_per_op"`
 	BytesPerOp    float64 `json:"bytes_per_op"`
 	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
 
-	// Parallel run (StatsWorkers and SynthWorkers = GOMAXPROCS). When the
-	// parallel configuration degenerates to the sequential path — a
-	// single-CPU box, or a dataset below core's parallel cutover — the row
+	// Parallel run (the default GOMAXPROCS). When it degenerates to the
+	// sequential path — a single-CPU box, or a dataset below core's
+	// parallel cutover — the row
 	// reports the sequential measurement and sets ParSequential: the two
 	// configs execute identical code there, and re-measuring it would
 	// publish run-to-run jitter as a phantom parallel delta.
@@ -133,13 +134,12 @@ func hotpathDataset(g *dataset.Generator, o Options, workers int) (HotpathRow, e
 		InputBytes: input.Len(),
 	}
 
-	seqCfg := core.Default()
-	op := func(cfg core.Config) (schema.Schema, error) {
+	op := func() (schema.Schema, error) {
 		types, err := jsontype.DecodeAll(bytes.NewReader(input.Bytes()))
 		if err != nil {
 			return nil, err
 		}
-		return schema.Simplify(core.PipelineTypes(types, cfg)), nil
+		return schema.Simplify(core.PipelineTypes(types, core.Default())), nil
 	}
 
 	// Record the distinct-type count once, outside the measured loops.
@@ -156,34 +156,40 @@ func hotpathDataset(g *dataset.Generator, o Options, workers int) (HotpathRow, e
 	// One unmeasured op before each measured block: the first execution
 	// pays one-time costs (interner growth, allocator warm-up) that
 	// otherwise land entirely on whichever block runs first and show up
-	// as a phantom seq/par delta.
-	if _, err := op(seqCfg); err != nil {
-		return HotpathRow{}, fmt.Errorf("hotpath: %s (warmup): %w", g.Name, err)
-	}
-	sampler := stats.StartMemSampler(0)
-	row.NsPerOp, row.AllocsPerOp, row.BytesPerOp = measureOp(hotpathIters, func() {
-		seqSchema, opErr = op(seqCfg)
-	})
-	row.PeakHeapBytes = sampler.Stop()
-	if opErr != nil {
-		return HotpathRow{}, fmt.Errorf("hotpath: %s: %w", g.Name, opErr)
+	// as a phantom seq/par delta. The sequential block runs at
+	// GOMAXPROCS=1, which holds every fan-out to one worker.
+	err := func() error {
+		prev := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(prev)
+		if _, err := op(); err != nil {
+			return fmt.Errorf("hotpath: %s (warmup): %w", g.Name, err)
+		}
+		sampler := stats.StartMemSampler(0)
+		row.NsPerOp, row.AllocsPerOp, row.BytesPerOp = measureOp(hotpathIters, func() {
+			seqSchema, opErr = op()
+		})
+		row.PeakHeapBytes = sampler.Stop()
+		if opErr != nil {
+			return fmt.Errorf("hotpath: %s: %w", g.Name, opErr)
+		}
+		return nil
+	}()
+	if err != nil {
+		return HotpathRow{}, err
 	}
 
-	if core.EffectiveWorkers(workers, row.DistinctTypes) <= 1 {
+	if workers <= 1 || row.DistinctTypes < core.ParallelCutover {
 		row.ParNsPerOp = row.NsPerOp
 		row.ParSequential = true
 		row.SchemasEqual = true
 		return row, nil
 	}
 
-	parCfg := seqCfg
-	parCfg.StatsWorkers = workers
-	parCfg.SynthWorkers = workers
-	if _, err := op(parCfg); err != nil {
+	if _, err := op(); err != nil {
 		return HotpathRow{}, fmt.Errorf("hotpath: %s (parallel warmup): %w", g.Name, err)
 	}
 	row.ParNsPerOp, _, _ = measureOp(hotpathIters, func() {
-		parSchema, opErr = op(parCfg)
+		parSchema, opErr = op()
 	})
 	if opErr != nil {
 		return HotpathRow{}, fmt.Errorf("hotpath: %s (parallel): %w", g.Name, opErr)

@@ -1,6 +1,6 @@
 // Package detorder guards the byte-equivalence guarantee of the synthesis
 // pipeline: golden schemas are byte-identical across runs and across
-// SynthWorkers settings only if no Go map iteration order ever leaks into
+// fan-out widths only if no Go map iteration order ever leaks into
 // output. Inside the synthesis packages the analyzer flags a range over a
 // map that appends to a slice declared outside the loop without a
 // subsequent sort in the same function — the shape by which map order
