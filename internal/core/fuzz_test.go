@@ -96,6 +96,33 @@ func FuzzSketchDecode(f *testing.F) {
 				t.Fatalf("re-marshal of decoded accumulator: %v", err)
 			}
 		}
+
+		// Decoding into a fresh accumulator and merging into an empty one
+		// are compositions of the same decoder: they must agree on
+		// acceptance and, when both accept, on the re-marshaled bytes.
+		for _, c := range []Config{Default(), sampling} {
+			decoded, errU := UnmarshalAccumulator(data, c)
+			merged := NewAccumulator(c)
+			errM := merged.MergeSketch(data)
+			checkErr(errM)
+			if (errU == nil) != (errM == nil) {
+				t.Fatalf("sample=%v: UnmarshalAccumulator err=%v but MergeSketch err=%v", c.DetectionSample, errU, errM)
+			}
+			if errU != nil {
+				continue
+			}
+			u, err := decoded.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := merged.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(u, m) {
+				t.Fatalf("sample=%v: UnmarshalAccumulator and MergeSketch re-marshal differently", c.DetectionSample)
+			}
+		}
 	})
 }
 
@@ -134,6 +161,10 @@ func FuzzSketchMerge(f *testing.F) {
 		f.Add(bad, b)
 	}
 	f.Add([]byte{}, []byte("JXSK"))
+	// Trie counts far beyond the file's record count: without the
+	// per-node bound, two merges overflow the live counters.
+	hostile := countOverflowSketch(f)
+	f.Add(hostile, hostile)
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		checkErr := func(err error) {

@@ -181,9 +181,10 @@ func TestMarshalExactPreallocation(t *testing.T) {
 
 // TestMergeSketchAllocsNoWorseThanMaterialize guards the merge-into
 // decode: folding a sketch into a populated accumulator must not allocate
-// more than the old materialize-then-merge path it replaced. (The real
-// margin — several-fold — is reported by jxbench -table reduce; the test
-// only pins the direction so it stays robust across runtimes.)
+// more than materializing it — decoding into a fresh accumulator
+// (UnmarshalAccumulator, the same walk into empty state) and then calling
+// Merge. (The margin is reported by jxbench -table reduce; the test only
+// pins the direction so it stays robust across runtimes.)
 func TestMergeSketchAllocsNoWorseThanMaterialize(t *testing.T) {
 	cfg := Default()
 	g, _ := dataset.ByName("yelp-business")

@@ -19,7 +19,7 @@ import (
 //
 // Node state is deliberately enumerable, not just walkable: the each*
 // iterators expose every counter in a deterministic order and the set*
-// builders reconstruct a node from those enumerations, so the wire codec
+// builders fold those enumerations back into a node, so the wire codec
 // round-trips a trie without reaching into representation details like
 // map layout or accumulator internals.
 type statsTrie struct {
@@ -286,7 +286,7 @@ func (t *statsTrie) eachChild(fn func(key string, c *statsTrie)) {
 
 // ---- node builders (the decode side of the wire codec) ----
 
-// setKeyCount records a key-presence count on a node under construction.
+// setKeyCount adds a key-presence count to the node.
 //
 //jx:hotpath
 func (t *statsTrie) setKeyCount(key string, n int) {
@@ -296,7 +296,7 @@ func (t *statsTrie) setKeyCount(key string, n int) {
 	t.keyCounts[key] += n
 }
 
-// setLenCount records an array-length count on a node under construction.
+// setLenCount adds an array-length count to the node.
 //
 //jx:hotpath
 func (t *statsTrie) setLenCount(length, n int) {
@@ -304,19 +304,6 @@ func (t *statsTrie) setLenCount(length, n int) {
 		t.lenCounts = map[int]int{}
 	}
 	t.lenCounts[length] += n
-}
-
-// attachChild links a decoded child subtree under key.
-func (t *statsTrie) attachChild(key string, c *statsTrie) {
-	if t.children == nil {
-		t.children = map[string]*statsTrie{}
-	}
-	t.children[key] = c
-}
-
-// attachElem appends a decoded subtree at the next array position.
-func (t *statsTrie) attachElem(c *statsTrie) {
-	t.elems = append(t.elems, c)
 }
 
 // ---- evidence derivation ----

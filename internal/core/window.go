@@ -51,7 +51,7 @@ func (g *sketchRing) push(data []byte) {
 // live epoch is folded in last through combineShared, treating it as
 // immutable so the accumulator can keep appending to it afterwards.
 func (g *sketchRing) rollup(live *PathSketch) (*PathSketch, error) {
-	merged, err := ReducePathSketches(g.windows, 0)
+	merged, err := ReducePathSketches(g.windows)
 	if err != nil {
 		return nil, err
 	}
@@ -63,16 +63,14 @@ func (g *sketchRing) rollup(live *PathSketch) (*PathSketch, error) {
 }
 
 // ReducePathSketches decodes the serialized sketches and merges them as a
-// balanced binary tree over at most `workers` goroutines (≤ 0 means one
-// per core) — the PathSketch-level counterpart of
-// Accumulator.MergeSketches, sharing its adjacent-pair combine (see
-// treeCombine in reduce.go). Statistics derived from the result are
-// identical to folding the sketches sequentially. A corrupt input aborts
-// with a *SketchMergeError carrying the failing sketch's index.
-func ReducePathSketches(files [][]byte, workers int) (*PathSketch, error) {
-	if workers <= 0 {
-		workers = dist.DefaultWorkers()
-	}
+// balanced binary tree, one worker per core — the PathSketch-level
+// counterpart of Accumulator.MergeSketches, sharing its adjacent-pair
+// combine (see treeCombine in reduce.go). Statistics derived from the
+// result are identical to folding the sketches sequentially. A corrupt
+// input aborts with a *SketchMergeError carrying the failing sketch's
+// index.
+func ReducePathSketches(files [][]byte) (*PathSketch, error) {
+	workers := dist.DefaultWorkers()
 	if len(files) == 0 {
 		return NewPathSketch(), nil
 	}

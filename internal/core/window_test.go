@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -178,7 +179,8 @@ func TestDecayBoundsChurnTrie(t *testing.T) {
 }
 
 // ReducePathSketches must reproduce the sequential fold at every worker
-// count (the treeCombine order-preservation contract).
+// count (the treeCombine order-preservation contract); its width follows
+// GOMAXPROCS.
 func TestReducePathSketchesMatchesSequential(t *testing.T) {
 	chunks := lawSketchChunks()
 	var files [][]byte
@@ -192,17 +194,19 @@ func TestReducePathSketchesMatchesSequential(t *testing.T) {
 		files = append(files, data)
 		seq.Merge(sketchOf(chunk))
 	}
-	for _, workers := range []int{1, 2, 4} {
-		got, err := ReducePathSketches(files, workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, err := ReducePathSketches(files)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		requireSameSketch(t, got, seq)
 	}
 }
 
 func TestReducePathSketchesEmptyAndCorrupt(t *testing.T) {
-	empty, err := ReducePathSketches(nil, 4)
+	empty, err := ReducePathSketches(nil)
 	if err != nil || empty.Records() != 0 {
 		t.Fatalf("empty reduce: %v, records=%d", err, empty.Records())
 	}
@@ -210,7 +214,7 @@ func TestReducePathSketchesEmptyAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ReducePathSketches([][]byte{good, good, []byte("garbage")}, 2)
+	_, err = ReducePathSketches([][]byte{good, good, []byte("garbage")})
 	var merr *SketchMergeError
 	if !errors.As(err, &merr) || merr.Index != 2 {
 		t.Fatalf("want *SketchMergeError{Index: 2}, got %v", err)

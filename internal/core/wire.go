@@ -315,7 +315,7 @@ func (s *PathSketch) Marshal() ([]byte, error) {
 // A bounded accumulator (Config.Bounds) serializes its current snapshot:
 // the reservoir's retained types as the bag, and no trie section — a
 // rotated or decayed sketch no longer totals to the bag, which the
-// decoders rightly reject, so the receiver refolds statistics from the
+// decoder rightly rejects, so the receiver refolds statistics from the
 // snapshot bag instead. Drivers that want the windowed statistics
 // themselves should Marshal the rollup sketch (PathSketch.Marshal).
 func (a *Accumulator) Marshal() ([]byte, error) {
@@ -352,6 +352,10 @@ type sketchDecoder struct {
 	// setScratch is the merge-into key-set buffer; each node consumes its
 	// bitset before recursing, so one buffer serves the whole walk.
 	setScratch entity.KeySet
+	// records is the trie section's record count, which bounds every
+	// node's objCount + arrCount: a record contributes at most one value
+	// per concrete path.
+	records uint64
 }
 
 var sketchDecoderPool = sync.Pool{New: func() any { return new(sketchDecoder) }}
@@ -520,40 +524,6 @@ func (d *sketchDecoder) typeRef(what string) (*jsontype.Type, error) {
 	return t, nil
 }
 
-func (d *sketchDecoder) decodeBag() (*jsontype.Bag, error) {
-	end, err := d.section(secBag)
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.count("bag distinct count", 2)
-	if err != nil {
-		return nil, err
-	}
-	bag := &jsontype.Bag{}
-	for i := 0; i < n; i++ {
-		t, err := d.typeRef("bag type")
-		if err != nil {
-			return nil, err
-		}
-		c, err := d.uvarint("bag count")
-		if err != nil {
-			return nil, err
-		}
-		if c == 0 || c > uint64(maxInt) {
-			return nil, d.errf("bag count %d out of range", c)
-		}
-		if prev := bag.CountOf(t); prev > 0 {
-			return nil, d.errf("duplicate bag entry for type %s", t.Canon())
-		}
-		if uint64(bag.Len())+c > uint64(maxInt) {
-			return nil, d.errf("bag total overflows")
-		}
-		//jx:lint-ignore errtotal AddN asserts n > 0 and the c == 0 check above establishes it
-		bag.AddN(t, int(c))
-	}
-	return bag, d.finishSection(secBag, end)
-}
-
 //jx:coldpath error construction runs once per malformed input, not per decoded item
 func (d *sketchDecoder) simTruncErr() error {
 	return formatErrf(d.pos, "truncated similarity state")
@@ -588,154 +558,6 @@ func (d *sketchDecoder) decodeSim(sim *jsontype.SimilarityAccumulator) error {
 	return nil
 }
 
-func (d *sketchDecoder) decodeNode(depth int) (*statsTrie, error) {
-	if depth > maxTrieDepth {
-		return nil, d.errf("trie deeper than %d", maxTrieDepth)
-	}
-	t := newStatsTrie()
-	objCount, err := d.uvarint("object count")
-	if err != nil {
-		return nil, err
-	}
-	if objCount > uint64(maxInt) {
-		return nil, d.errf("object count %d out of range", objCount)
-	}
-	t.objCount = int(objCount)
-	if t.objCount > 0 {
-		words, err := d.count("key-set word count", 8)
-		if err != nil {
-			return nil, err
-		}
-		set := make(entity.KeySet, words)
-		for i := range set {
-			set[i] = binary.LittleEndian.Uint64(d.data[d.pos:])
-			d.pos += 8
-		}
-		if words > 0 && set[words-1] == 0 {
-			return nil, d.errf("key-set bitset not normalized (trailing zero word)")
-		}
-		var countErr error
-		set.Each(func(id int) {
-			if countErr != nil {
-				return
-			}
-			n, err := d.uvarint("key presence count")
-			if err != nil {
-				countErr = err
-				return
-			}
-			if id >= len(d.keys) {
-				countErr = d.errf("key id %d outside dictionary (%d keys)", id, len(d.keys))
-				return
-			}
-			if n == 0 || n > objCount {
-				countErr = d.errf("key presence count %d outside 1..%d", n, objCount)
-				return
-			}
-			t.setKeyCount(d.keys[id], int(n))
-		})
-		if countErr != nil {
-			return nil, countErr
-		}
-		if err := d.decodeSim(&t.objSim); err != nil {
-			return nil, err
-		}
-	}
-	arrCount, err := d.uvarint("array count")
-	if err != nil {
-		return nil, err
-	}
-	if arrCount > uint64(maxInt) {
-		return nil, d.errf("array count %d out of range", arrCount)
-	}
-	t.arrCount = int(arrCount)
-	if t.arrCount > 0 {
-		n, err := d.count("length histogram size", 2)
-		if err != nil {
-			return nil, err
-		}
-		prev := -1
-		for i := 0; i < n; i++ {
-			length, err := d.uvarint("array length")
-			if err != nil {
-				return nil, err
-			}
-			c, err := d.uvarint("length count")
-			if err != nil {
-				return nil, err
-			}
-			if length > uint64(maxInt) || int(length) <= prev {
-				return nil, d.errf("length histogram not strictly ascending at %d", length)
-			}
-			if c == 0 || c > arrCount {
-				return nil, d.errf("length count %d outside 1..%d", c, arrCount)
-			}
-			prev = int(length)
-			t.setLenCount(int(length), int(c))
-		}
-		if err := d.decodeSim(&t.arrSim); err != nil {
-			return nil, err
-		}
-	}
-	nc, err := d.count("child count", 2)
-	if err != nil {
-		return nil, err
-	}
-	prevKey := -1
-	for i := 0; i < nc; i++ {
-		id, err := d.uvarint("child key id")
-		if err != nil {
-			return nil, err
-		}
-		if id > uint64(len(d.keys)) || int(id) >= len(d.keys) {
-			return nil, d.errf("child key id %d outside dictionary (%d keys)", id, len(d.keys))
-		}
-		if prevKey >= 0 && d.keys[id] <= d.keys[prevKey] {
-			return nil, d.errf("children not key-sorted at id %d", id)
-		}
-		prevKey = int(id)
-		c, err := d.decodeNode(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		t.attachChild(d.keys[id], c)
-	}
-	ne, err := d.count("elem count", 1)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ne; i++ {
-		c, err := d.decodeNode(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		t.attachElem(c)
-	}
-	return t, nil
-}
-
-func (d *sketchDecoder) decodeTrie() (*PathSketch, error) {
-	end, err := d.section(secTrie)
-	if err != nil {
-		return nil, err
-	}
-	records, err := d.uvarint("record count")
-	if err != nil {
-		return nil, err
-	}
-	if records > uint64(maxInt) {
-		return nil, d.errf("record count %d out of range", records)
-	}
-	root, err := d.decodeNode(0)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.finishSection(secTrie, end); err != nil {
-		return nil, err
-	}
-	return &PathSketch{root: root, records: int(records)}, nil
-}
-
 func (d *sketchDecoder) finish() error {
 	if d.pos != len(d.data) {
 		return d.errf("%d trailing bytes after final section", len(d.data)-d.pos)
@@ -745,81 +567,42 @@ func (d *sketchDecoder) finish() error {
 
 const maxInt = int(^uint(0) >> 1)
 
-// decodeSketchFile parses a whole sketch file into its (optional)
-// components.
-func decodeSketchFile(data []byte) (bag *jsontype.Bag, sketch *PathSketch, err error) {
-	d := getSketchDecoder(data)
-	defer d.release()
-	flags, err := d.header()
-	if err != nil {
-		return nil, nil, err
-	}
-	if flags&^(flagBag|flagTrie) != 0 {
-		return nil, nil, formatErrf(len(sketchMagic)+1, "unknown flag bits %#x", flags)
-	}
-	if err := d.decodeKeys(); err != nil {
-		return nil, nil, err
-	}
-	if err := d.decodeTypes(); err != nil {
-		return nil, nil, err
-	}
-	if flags&flagBag != 0 {
-		if bag, err = d.decodeBag(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if flags&flagTrie != 0 {
-		if sketch, err = d.decodeTrie(); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := d.finish(); err != nil {
-		return nil, nil, err
-	}
-	return bag, sketch, nil
-}
-
 // UnmarshalPathSketch decodes a sketch serialized with PathSketch.Marshal
-// (or the trie section of an accumulator file). The result is
-// observationally equal to the sketch that was marshaled: identical
-// Stats under every configuration, and safe to keep folding into.
+// (or the trie section of an accumulator file) by merging it into a fresh
+// sketch. The result is observationally equal to the sketch that was
+// marshaled: identical Stats under every configuration, and safe to keep
+// folding into. A bag section, when present, is validated into a
+// throwaway bag.
 func UnmarshalPathSketch(data []byte) (*PathSketch, error) {
-	_, sketch, err := decodeSketchFile(data)
-	if err != nil {
+	sketch := NewPathSketch()
+	if err := mergeSketchFile(data, &jsontype.Bag{}, sketch, flagTrie); err != nil {
 		return nil, err
-	}
-	if sketch == nil {
-		return nil, formatErrf(len(sketchMagic)+1, "no stats-trie section in input")
 	}
 	return sketch, nil
 }
 
 // UnmarshalAccumulator decodes accumulated discovery state serialized
 // with Accumulator.Marshal and resumes it under cfg. The bag section is
-// required. When cfg calls for an incremental sketch the serialized trie
-// is used if present and rebuilt from the bag otherwise (a fold over
-// deduplicated types — same statistics, more CPU); a sampling
-// configuration ignores the trie, matching NewAccumulator.
+// required. When cfg keeps an unbounded live sketch the file merges
+// straight into a fresh accumulator: the serialized trie is used if
+// present and rebuilt from the bag otherwise (a fold over deduplicated
+// types — same statistics, more CPU). A sampling configuration keeps no
+// sketch and a bounded one must replay the bag through the reservoir and
+// window clock, so there the file merges into a fresh bag (its trie still
+// fully validated, then dropped) and the bag folds through AddBag,
+// matching NewAccumulator.
 func UnmarshalAccumulator(data []byte, cfg Config) (*Accumulator, error) {
-	bag, sketch, err := decodeSketchFile(data)
-	if err != nil {
-		return nil, err
-	}
-	if bag == nil {
-		return nil, formatErrf(len(sketchMagic)+1, "no bag section in input")
-	}
-	if sketch != nil && sketch.records != bag.Len() {
-		return nil, formatErrf(0, "trie records %d disagree with bag total %d", sketch.records, bag.Len())
-	}
 	a := NewAccumulator(cfg)
-	if a.sketch != nil && sketch != nil && !cfg.Bounds.bounded() {
-		a.bag = bag
-		a.sketch = sketch
+	if a.sketch != nil && !cfg.Bounds.bounded() {
+		if err := mergeSketchFile(data, a.bag, a.sketch, flagBag); err != nil {
+			return nil, err
+		}
 		return a, nil
 	}
-	// Either the configuration wants no sketch (or bounds it, in which
-	// case the bag must replay through the reservoir and window clock), or
-	// the file carries none: fold the bag through the ordinary Add path.
+	bag := &jsontype.Bag{}
+	if err := mergeSketchFile(data, bag, nil, flagBag); err != nil {
+		return nil, err
+	}
 	a.AddBag(bag)
 	return a, nil
 }
@@ -841,10 +624,8 @@ func (a *Accumulator) MergeSketch(data []byte) error {
 	if a.sketch == nil || a.cfg.Bounds.bounded() {
 		// A sampling configuration keeps no live trie to fold into, and a
 		// bounded one routes occurrences through the reservoir and the
-		// window clock rather than straight into a live bag; either way
-		// the file's trie section must still be fully validated (and is
-		// then discarded or refolded, matching NewAccumulator). The
-		// materializing decoder already does exactly that.
+		// window clock rather than straight into a live bag: decode into a
+		// fresh accumulator and merge that.
 		other, err := UnmarshalAccumulator(data, a.cfg)
 		if err != nil {
 			return err
@@ -852,15 +633,18 @@ func (a *Accumulator) MergeSketch(data []byte) error {
 		a.Merge(other)
 		return nil
 	}
-	d := getSketchDecoder(data)
-	defer d.release()
-	return a.mergeSketchFile(d)
+	return mergeSketchFile(data, a.bag, a.sketch, flagBag)
 }
 
-// mergeSketchFile is the merge-into decode: sections fold directly into
-// the live accumulator. Validation mirrors decodeSketchFile +
-// UnmarshalAccumulator check for check; only the destination differs.
-func (a *Accumulator) mergeSketchFile(d *sketchDecoder) error {
+// mergeSketchFile is the sketch decoder — the only one: it validates a
+// whole file and folds its sections into the destination pair, bag
+// entries into bag and trie counters into sketch, in place. need is the
+// section flag the caller requires. A nil sketch still validates the
+// trie section fully, into a throwaway; a non-nil sketch also absorbs
+// the bag's occurrences when the file carries no trie of its own.
+func mergeSketchFile(data []byte, bag *jsontype.Bag, sketch *PathSketch, need byte) error {
+	d := getSketchDecoder(data)
+	defer d.release()
 	flags, err := d.header()
 	if err != nil {
 		return err
@@ -868,8 +652,12 @@ func (a *Accumulator) mergeSketchFile(d *sketchDecoder) error {
 	if flags&^(flagBag|flagTrie) != 0 {
 		return formatErrf(len(sketchMagic)+1, "unknown flag bits %#x", flags)
 	}
-	if flags&flagBag == 0 {
-		return formatErrf(len(sketchMagic)+1, "no bag section in input")
+	if flags&need == 0 {
+		name := "bag"
+		if need == flagTrie {
+			name = "stats-trie"
+		}
+		return formatErrf(len(sketchMagic)+1, "no %s section in input", name)
 	}
 	if err := d.decodeKeys(); err != nil {
 		return err
@@ -878,23 +666,30 @@ func (a *Accumulator) mergeSketchFile(d *sketchDecoder) error {
 		return err
 	}
 	fileHasTrie := flags&flagTrie != 0
-	bagTotal, err := a.mergeBag(d, fileHasTrie)
-	if err != nil {
-		return err
+	bagTotal := -1 // no bag section: nothing to cross-check the trie against
+	if flags&flagBag != 0 {
+		fold := sketch
+		if fileHasTrie {
+			fold = nil
+		}
+		if bagTotal, err = d.mergeBag(bag, fold); err != nil {
+			return err
+		}
 	}
 	if fileHasTrie {
-		if err := a.mergeTrie(d, bagTotal); err != nil {
+		if sketch == nil {
+			sketch = NewPathSketch()
+		}
+		if err := d.mergeTrie(sketch, bagTotal); err != nil {
 			return err
 		}
 	}
 	return d.finish()
 }
 
-// mergeBag folds the bag section into the live accumulator and returns
-// the file's total record count. When the file carries no trie of its
-// own, occurrences are folded into the live sketch as well, mirroring
-// what UnmarshalAccumulator's AddBag fallback would have produced.
-func (a *Accumulator) mergeBag(d *sketchDecoder, fileHasTrie bool) (int, error) {
+// mergeBag folds the bag section into bag and returns the file's total
+// record count. A non-nil fold sketch absorbs the occurrences as well.
+func (d *sketchDecoder) mergeBag(bag *jsontype.Bag, fold *PathSketch) (int, error) {
 	end, err := d.section(secBag)
 	if err != nil {
 		return 0, err
@@ -903,7 +698,7 @@ func (a *Accumulator) mergeBag(d *sketchDecoder, fileHasTrie bool) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	total, err := a.mergeBagEntries(d, n, fileHasTrie)
+	total, err := d.mergeBagEntries(bag, fold, n)
 	if err != nil {
 		return 0, err
 	}
@@ -925,12 +720,13 @@ func (d *sketchDecoder) bagOverflowErr() error {
 	return formatErrf(d.pos, "bag total overflows")
 }
 
-// mergeBagEntries decodes n (type ref, count) pairs straight into the
-// live bag. Duplicate detection runs against this file's entries only —
-// the live bag legitimately already contains types the file carries.
+// mergeBagEntries decodes n (type ref, count) pairs straight into bag.
+// Duplicate detection runs against this file's entries only — the
+// destination bag legitimately may already contain types the file
+// carries.
 //
 //jx:hotpath
-func (a *Accumulator) mergeBagEntries(d *sketchDecoder, n int, fileHasTrie bool) (int, error) {
+func (d *sketchDecoder) mergeBagEntries(bag *jsontype.Bag, fold *PathSketch, n int) (int, error) {
 	if d.seen == nil {
 		d.seen = make(map[uint64]struct{}, n)
 	}
@@ -951,22 +747,23 @@ func (a *Accumulator) mergeBagEntries(d *sketchDecoder, n int, fileHasTrie bool)
 			return 0, d.dupEntryErr(t)
 		}
 		d.seen[t.ID()] = struct{}{}
-		if uint64(total)+c > uint64(maxInt) || uint64(a.bag.Len())+c > uint64(maxInt) {
+		if uint64(total)+c > uint64(maxInt) || uint64(bag.Len())+c > uint64(maxInt) {
 			return 0, d.bagOverflowErr()
 		}
 		total += int(c)
 		//jx:lint-ignore errtotal AddN asserts n > 0 and the c == 0 check above establishes it
-		a.bag.AddN(t, int(c))
-		if !fileHasTrie && a.sketch != nil {
-			a.sketch.AddN(t, int(c))
+		bag.AddN(t, int(c))
+		if fold != nil {
+			fold.AddN(t, int(c))
 		}
 	}
 	return total, nil
 }
 
-// mergeTrie folds the stats-trie section into the live sketch, after the
-// same records-vs-bag cross check UnmarshalAccumulator applies.
-func (a *Accumulator) mergeTrie(d *sketchDecoder, bagTotal int) error {
+// mergeTrie folds the stats-trie section into sketch, after checking the
+// file's record count against its bag total (bagTotal < 0: no bag) and
+// against what sketch can still count without overflowing.
+func (d *sketchDecoder) mergeTrie(sketch *PathSketch, bagTotal int) error {
 	end, err := d.section(secTrie)
 	if err != nil {
 		return err
@@ -975,19 +772,20 @@ func (a *Accumulator) mergeTrie(d *sketchDecoder, bagTotal int) error {
 	if err != nil {
 		return err
 	}
-	if records > uint64(maxInt) {
-		return d.errf("record count %d out of range", records)
+	if records > uint64(maxInt-sketch.records) {
+		return d.rangeErr("record count", records)
 	}
-	if int(records) != bagTotal {
+	if bagTotal >= 0 && int(records) != bagTotal {
 		return formatErrf(0, "trie records %d disagree with bag total %d", records, bagTotal)
 	}
-	if err := d.mergeNode(a.sketch.root, 0); err != nil {
+	d.records = records
+	if err := d.mergeNode(sketch.root, 0); err != nil {
 		return err
 	}
 	if err := d.finishSection(secTrie, end); err != nil {
 		return err
 	}
-	a.sketch.records += int(records)
+	sketch.records += int(records)
 	return nil
 }
 
@@ -999,6 +797,11 @@ func (d *sketchDecoder) depthErr() error {
 //jx:coldpath error construction runs once per malformed input, not per decoded item
 func (d *sketchDecoder) rangeErr(what string, v uint64) error {
 	return formatErrf(d.pos, "%s %d out of range", what, v)
+}
+
+//jx:coldpath error construction runs once per malformed input, not per decoded item
+func (d *sketchDecoder) nodeCountErr(objCount, arrCount uint64) error {
+	return formatErrf(d.pos, "node counts %d objects + %d arrays exceed the section's %d records", objCount, arrCount, d.records)
 }
 
 //jx:coldpath error construction runs once per malformed input, not per decoded item
@@ -1026,11 +829,11 @@ func (d *sketchDecoder) childOrderErr(id uint64) error {
 	return formatErrf(d.pos, "children not key-sorted at id %d", id)
 }
 
-// mergeNode folds one encoded trie node, preorder, into the live node t.
-// It mirrors decodeNode's validations byte for byte; only the destination
-// differs — counters accumulate in place (setKeyCount and setLenCount
-// add, combine-style) and child nodes materialize only where the live
-// trie has none.
+// mergeNode folds one encoded trie node, preorder, into the live node t
+// — the one trie walker of the wire format. Counters accumulate in place
+// (setKeyCount and setLenCount add, combine-style) and child nodes
+// materialize only where the live trie has none, so decoding into a fresh
+// sketch and merging into a populated one are the same walk.
 //
 //jx:hotpath
 func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
@@ -1041,8 +844,8 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 	if err != nil {
 		return err
 	}
-	if objCount > uint64(maxInt) {
-		return d.rangeErr("object count", objCount)
+	if objCount > d.records {
+		return d.nodeCountErr(objCount, 0)
 	}
 	t.objCount += int(objCount)
 	if objCount > 0 {
@@ -1092,8 +895,8 @@ func (d *sketchDecoder) mergeNode(t *statsTrie, depth int) error {
 	if err != nil {
 		return err
 	}
-	if arrCount > uint64(maxInt) {
-		return d.rangeErr("array count", arrCount)
+	if arrCount > d.records-objCount {
+		return d.nodeCountErr(objCount, arrCount)
 	}
 	t.arrCount += int(arrCount)
 	if arrCount > 0 {

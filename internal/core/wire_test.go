@@ -449,6 +449,59 @@ func TestSketchWireRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// countOverflowSketch marshals a one-record accumulator whose root claims
+// maxInt-1 objects, all carrying key "a" — counts no record total can
+// justify, and large enough that two merges overflow int.
+func countOverflowSketch(tb testing.TB) []byte {
+	tb.Helper()
+	acc := NewAccumulator(Default())
+	acc.Add(jsontype.MustFromValue(map[string]any{"a": 1.0}))
+	acc.sketch.root.objCount = maxInt - 1
+	acc.sketch.root.keyCounts["a"] = maxInt - 1
+	data, err := acc.Marshal()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestSketchWireRejectsCountsBeyondRecords is the regression test for
+// hostile trie counts: a node's objCount + arrCount may not exceed the
+// trie section's record count (each record contributes at most one value
+// per path). Without that bound, merging the crafted file twice wraps the
+// root objCount negative and Stats silently returns no rows.
+func TestSketchWireRejectsCountsBeyondRecords(t *testing.T) {
+	data := countOverflowSketch(t)
+	var ferr *SketchFormatError
+	acc := NewAccumulator(Default())
+	err := acc.MergeSketch(data)
+	if err == nil {
+		err = acc.MergeSketch(data)
+	}
+	if !errors.As(err, &ferr) {
+		t.Fatalf("MergeSketch: got %v, want *SketchFormatError", err)
+	}
+	if _, err := UnmarshalAccumulator(data, Default()); !errors.As(err, &ferr) {
+		t.Errorf("UnmarshalAccumulator: got %v, want *SketchFormatError", err)
+	}
+	if _, err := UnmarshalPathSketch(data); !errors.As(err, &ferr) {
+		t.Errorf("UnmarshalPathSketch: got %v, want *SketchFormatError", err)
+	}
+
+	// The same bound on the array side: a one-record sketch whose root
+	// holds one object value cannot also hold an array value.
+	s := NewPathSketch()
+	s.Add(jsontype.MustFromValue([]any{1.0}))
+	s.root.objCount, s.root.keyCounts = 1, map[string]int{"k": 1}
+	arr, err := s.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalPathSketch(arr); !errors.As(err, &ferr) {
+		t.Errorf("object + array counts over records: got %v, want *SketchFormatError", err)
+	}
+}
+
 // TestStatsDoesNotMutateSketch is the regression test for the wildcard-
 // merge aliasing bug: derive used to build its merged collection nodes
 // with the adopting combine, so the first Stats call could splice live

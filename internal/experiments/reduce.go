@@ -47,9 +47,11 @@ type ReduceRow struct {
 	// ReduceAllocs is the heap allocation count per reduce op.
 	ReduceAllocs float64 `json:"reduce_allocs"`
 
-	// MaterializeNs/MaterializeAllocs time the pre-merge-into baseline —
-	// UnmarshalAccumulator then Merge, file by file — on the sequential
-	// rows only (Workers == 1), where the two are directly comparable.
+	// MaterializeNs/MaterializeAllocs time the materialize baseline —
+	// each file decoded into a fresh accumulator (UnmarshalAccumulator,
+	// itself a merge into an empty accumulator) and then Merge'd, file by
+	// file — on the sequential rows only (Workers == 1), where the two
+	// are directly comparable.
 	MaterializeNs     float64 `json:"materialize_ns,omitempty"`
 	MaterializeAllocs float64 `json:"materialize_allocs,omitempty"`
 
@@ -81,7 +83,7 @@ func RunReduceBench(o Options) (*ReduceResult, error) {
 	res := &ReduceResult{
 		Note: fmt.Sprintf("parallel tree reduce over serialized sketches: shards is the map-output width, workers the "+
 			"-reduce-workers axis; reduce_ns covers sketch decode+merge only; materialize_* is the "+
-			"unmarshal-then-merge baseline on the sequential rows; n=DefaultN, seed=%d, %d iters, GOMAXPROCS=%d — "+
+			"decode-into-a-fresh-accumulator-then-Merge baseline on the sequential rows; n=DefaultN, seed=%d, %d iters, GOMAXPROCS=%d — "+
 			"byte_identical is verified before any cell is timed",
 			o.Seed, reduceIters, runtime.GOMAXPROCS(0)),
 	}
