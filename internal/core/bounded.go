@@ -84,9 +84,15 @@ func (a *Accumulator) unionBag() *jsontype.Bag {
 
 // statsSketch returns the sketch pass ① derives from: the cumulative live
 // sketch, or the tree-reduced rollup of the retained ring windows plus
-// the live epoch. Rollup never consumes the live epoch (it folds through
-// the copying combine), so more records may be added afterwards.
+// the live epoch, or — under detection sampling, which keeps no sketch —
+// a fold of the sampled union bag. Rollup never consumes the live epoch
+// (it folds through the copying combine), so more records may be added
+// afterwards.
 func (a *Accumulator) statsSketch() *PathSketch {
+	if a.sketch == nil {
+		sample := SampleBag(a.unionBag(), a.cfg.DetectionSample, a.cfg.Seed)
+		return sketchFromBag(sample, fanOutWidth(sample.Distinct()))
+	}
 	if a.ring == nil {
 		return a.sketch
 	}

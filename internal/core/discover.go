@@ -18,7 +18,7 @@ import (
 // visibility of the collection, so the global heuristics apply exactly.
 func Discover(bag *jsontype.Bag, cfg Config) schema.Schema {
 	s := &synthesizer{dec: &localDecider{cfg: cfg}}
-	return s.merge(RootPath, bag)
+	return s.merge(nil, bag)
 }
 
 // DiscoverTypes is Discover over a slice of record types.
@@ -70,13 +70,14 @@ func escapePathKey(key string) string {
 
 // decider answers Algorithm 4's two questions — collection or tuple? and
 // how do tuples partition into entities? — for the bag of values observed
-// at one path. The recursive strategy computes answers on the spot; the
-// staged pipeline precomputes them in passes ① and ②.
+// at one path, named by its handle. The recursive strategy computes
+// answers on the spot and ignores the handle (it threads nil); the staged
+// pipeline precomputes them in passes ① and ②.
 type decider interface {
-	arrayDecision(path string, arrays *jsontype.Bag) entropy.Decision
-	objectDecision(path string, objects *jsontype.Bag) entropy.Decision
-	partitionObjects(path string, objects *jsontype.Bag) []*jsontype.Bag
-	partitionArrays(path string, arrays *jsontype.Bag) []*jsontype.Bag
+	arrayDecision(p *pathNode, arrays *jsontype.Bag) entropy.Decision
+	objectDecision(p *pathNode, objects *jsontype.Bag) entropy.Decision
+	partitionObjects(p *pathNode, objects *jsontype.Bag) []*jsontype.Bag
+	partitionArrays(p *pathNode, arrays *jsontype.Bag) []*jsontype.Bag
 }
 
 // synthesizer is the shared schema-construction engine (pass ③): it walks
@@ -84,50 +85,50 @@ type decider interface {
 // With a non-nil pool, sibling subtrees are merged concurrently; results
 // are always combined in index order, so the output schema is identical to
 // the sequential walk. A non-nil memo caches subtree results across Finish
-// calls, keyed by (path, bag content hash).
+// calls, keyed by (path string of the handle, bag content hash).
 type synthesizer struct {
 	dec  decider
 	pool *dist.Pool
 	memo *mergeMemo
 }
 
-func (s *synthesizer) merge(path string, bag *jsontype.Bag) schema.Schema {
+func (s *synthesizer) merge(p *pathNode, bag *jsontype.Bag) schema.Schema {
 	if s.memo == nil {
-		return s.mergeUncached(path, bag)
+		return s.mergeUncached(p, bag)
 	}
-	key := memoKey{path: path, bag: bagContentHash(bag)}
+	key := memoKey{path: p.path, bag: bagContentHash(bag)}
 	if cached, ok := s.memo.get(key); ok {
 		return cached
 	}
-	out := s.mergeUncached(path, bag)
+	out := s.mergeUncached(p, bag)
 	s.memo.put(key, out)
 	return out
 }
 
-func (s *synthesizer) mergeUncached(path string, bag *jsontype.Bag) schema.Schema {
+func (s *synthesizer) mergeUncached(p *pathNode, bag *jsontype.Bag) schema.Schema {
 	prims, arrays, objects := bag.SplitKinds()
 	alts := merge.Primitives(prims)
 
 	if arrays.Len() > 0 {
-		if s.dec.arrayDecision(path, arrays) == entropy.Collection {
-			alts = append(alts, s.mergeArrayColl(path, arrays))
+		if s.dec.arrayDecision(p, arrays) == entropy.Collection {
+			alts = append(alts, s.mergeArrayColl(p, arrays))
 		} else {
-			parts := s.dec.partitionArrays(path, arrays)
+			parts := s.dec.partitionArrays(p, arrays)
 			partAlts := make([]schema.Schema, len(parts))
 			s.pool.ForEach(len(parts), func(i int) {
-				partAlts[i] = s.mergeArrayTuple(path, parts[i])
+				partAlts[i] = s.mergeArrayTuple(p, parts[i])
 			})
 			alts = append(alts, partAlts...)
 		}
 	}
 	if objects.Len() > 0 {
-		if s.dec.objectDecision(path, objects) == entropy.Collection {
-			alts = append(alts, s.mergeObjectColl(path, objects))
+		if s.dec.objectDecision(p, objects) == entropy.Collection {
+			alts = append(alts, s.mergeObjectColl(p, objects))
 		} else {
-			parts := s.dec.partitionObjects(path, objects)
+			parts := s.dec.partitionObjects(p, objects)
 			partAlts := make([]schema.Schema, len(parts))
 			s.pool.ForEach(len(parts), func(i int) {
-				partAlts[i] = s.mergeObjectTuple(path, parts[i])
+				partAlts[i] = s.mergeObjectTuple(p, parts[i])
 			})
 			alts = append(alts, partAlts...)
 		}
@@ -136,7 +137,7 @@ func (s *synthesizer) mergeUncached(path string, bag *jsontype.Bag) schema.Schem
 }
 
 // mergeArrayColl is Algorithm 2 with path threading.
-func (s *synthesizer) mergeArrayColl(path string, bag *jsontype.Bag) schema.Schema {
+func (s *synthesizer) mergeArrayColl(p *pathNode, bag *jsontype.Bag) schema.Schema {
 	maxLen := 0
 	for _, t := range bag.Types() {
 		if t.Len() > maxLen {
@@ -145,13 +146,13 @@ func (s *synthesizer) mergeArrayColl(path string, bag *jsontype.Bag) schema.Sche
 	}
 	elem := schema.Empty()
 	if elems := bag.Elements(); elems.Len() > 0 {
-		elem = s.merge(arrayElemPath(path), elems)
+		elem = s.merge(p.arrayElem(), elems)
 	}
 	return &schema.ArrayCollection{Elem: elem, MaxLen: maxLen}
 }
 
 // mergeObjectColl is the object analog of Algorithm 2 with path threading.
-func (s *synthesizer) mergeObjectColl(path string, bag *jsontype.Bag) schema.Schema {
+func (s *synthesizer) mergeObjectColl(p *pathNode, bag *jsontype.Bag) schema.Schema {
 	domain := map[string]bool{}
 	for _, t := range bag.Types() {
 		for _, f := range t.Fields() {
@@ -160,18 +161,18 @@ func (s *synthesizer) mergeObjectColl(path string, bag *jsontype.Bag) schema.Sch
 	}
 	value := schema.Empty()
 	if values := bag.FieldValues(); values.Len() > 0 {
-		value = s.merge(objectValuePath(path), values)
+		value = s.merge(p.objectValue(), values)
 	}
 	return &schema.ObjectCollection{Value: value, Domain: len(domain)}
 }
 
 // mergeObjectTuple is Algorithm 3 with path threading.
-func (s *synthesizer) mergeObjectTuple(path string, bag *jsontype.Bag) schema.Schema {
+func (s *synthesizer) mergeObjectTuple(p *pathNode, bag *jsontype.Bag) schema.Schema {
 	keys, groups, present := bag.GroupByKey()
 	total := bag.Len()
 	fields := make([]schema.FieldSchema, len(keys))
 	s.pool.ForEach(len(keys), func(i int) {
-		fields[i] = schema.FieldSchema{Key: keys[i], Schema: s.merge(childKeyPath(path, keys[i]), groups[i])}
+		fields[i] = schema.FieldSchema{Key: keys[i], Schema: s.merge(p.field(keys[i]), groups[i])}
 	})
 	var required, optional []schema.FieldSchema
 	for i, f := range fields {
@@ -185,7 +186,7 @@ func (s *synthesizer) mergeObjectTuple(path string, bag *jsontype.Bag) schema.Sc
 }
 
 // mergeArrayTuple is the array analog of Algorithm 3 with path threading.
-func (s *synthesizer) mergeArrayTuple(path string, bag *jsontype.Bag) schema.Schema {
+func (s *synthesizer) mergeArrayTuple(p *pathNode, bag *jsontype.Bag) schema.Schema {
 	groups, _ := bag.GroupByIndex()
 	minLen := -1
 	for _, t := range bag.Types() {
@@ -198,7 +199,7 @@ func (s *synthesizer) mergeArrayTuple(path string, bag *jsontype.Bag) schema.Sch
 	}
 	elems := make([]schema.Schema, len(groups))
 	s.pool.ForEach(len(groups), func(i int) {
-		elems[i] = s.merge(arrayIndexPath(path, i), groups[i])
+		elems[i] = s.merge(p.index(i), groups[i])
 	})
 	return &schema.ArrayTuple{Elems: elems, MinLen: minLen}
 }
@@ -209,7 +210,7 @@ type localDecider struct {
 	cfg Config
 }
 
-func (d *localDecider) arrayDecision(_ string, arrays *jsontype.Bag) entropy.Decision {
+func (d *localDecider) arrayDecision(_ *pathNode, arrays *jsontype.Bag) entropy.Decision {
 	if !d.cfg.DetectArrayTuples {
 		return entropy.Collection
 	}
@@ -217,7 +218,7 @@ func (d *localDecider) arrayDecision(_ string, arrays *jsontype.Bag) entropy.Dec
 	return decision
 }
 
-func (d *localDecider) objectDecision(_ string, objects *jsontype.Bag) entropy.Decision {
+func (d *localDecider) objectDecision(_ *pathNode, objects *jsontype.Bag) entropy.Decision {
 	if !d.cfg.DetectObjectCollections {
 		return entropy.Tuple
 	}
@@ -225,71 +226,35 @@ func (d *localDecider) objectDecision(_ string, objects *jsontype.Bag) entropy.D
 	return decision
 }
 
-func (d *localDecider) partitionObjects(_ string, objects *jsontype.Bag) []*jsontype.Bag {
-	return partitionBag(objects, d.featureKeySet(objects), d.cfg)
+func (d *localDecider) partitionObjects(_ *pathNode, objects *jsontype.Bag) []*jsontype.Bag {
+	return partitionBag(subtreeDecisions(objects, d.cfg), objects, d.cfg)
 }
 
-func (d *localDecider) partitionArrays(_ string, arrays *jsontype.Bag) []*jsontype.Bag {
-	return partitionBag(arrays, d.featureKeySet(arrays), d.cfg)
+func (d *localDecider) partitionArrays(_ *pathNode, arrays *jsontype.Bag) []*jsontype.Bag {
+	return partitionBag(subtreeDecisions(arrays, d.cfg), arrays, d.cfg)
 }
 
-// featureKeySet builds the §6.4 feature extractor for a partition point:
-// record key sets are the deep path sets of each type, truncated at nested
-// collection boundaries. The recursive strategy determines those
-// boundaries with an extra detection walk over the bag — the "full second
-// pass" overhead the paper attributes to JXPLAIN.
-func (d *localDecider) featureKeySet(bag *jsontype.Bag) func(*jsontype.Type) []string {
-	decide := decisionLookup(subtreeDecisions(bag, d.cfg))
-	return func(t *jsontype.Type) []string { return featurePaths(t, decide, true) }
-}
-
-// partitionBag splits a bag of tuple-like types into entity bags according
-// to the configured strategy. Partitioning operates on the distinct key
-// sets appearing in the bag (Section 6); all types sharing a key set land
-// in the same entity.
-func partitionBag(bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string, cfg Config) []*jsontype.Bag {
-	switch cfg.Partition {
-	case SingleEntity:
+// partitionBag splits a bag of tuple-like types at partition point p into
+// entity bags according to the configured strategy. Partitioning operates
+// on the distinct §6.4 feature sets appearing in the bag (Section 6),
+// extracted against p's decision tree; all types sharing a set land in
+// the same entity.
+func partitionBag(p *pathNode, bag *jsontype.Bag, cfg Config) []*jsontype.Bag {
+	if cfg.Partition == SingleEntity {
 		return []*jsontype.Bag{bag}
-	case PerKeySet:
-		return partitionPerKeySet(bag, keySetOf)
 	}
-
-	w, dict, typesBySet := collectKeySets(bag, keySetOf)
-	assignment := assignClusters(w, dict, cfg)
-	return groupByAssignment(bag, typesBySet, assignment)
+	ks := newFeatureWalker(p).keySets(bag)
+	if cfg.Partition == PerKeySet {
+		return groupByAssignment(bag, ks.typesBySet, ks.perSet())
+	}
+	return groupByAssignment(bag, ks.typesBySet, assignClusters(ks.w, ks.dim, cfg))
 }
 
-// collectKeySets builds the weighted distinct key sets of a bag — each
-// set's weight is its record multiplicity — plus, for each set, the
-// indices of the distinct types carrying it.
-func collectKeySets(bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) (entity.Weighted, *entity.Dict, [][]int) {
-	dict := entity.NewDict()
-	var w entity.Weighted
-	setIndex := map[string]int{}
-	var typesBySet [][]int
-	for ti, t := range bag.Types() {
-		ks := entity.KeySetOf(dict, keySetOf(t)...)
-		c := ks.Canon()
-		si, ok := setIndex[c]
-		if !ok {
-			si = len(w.Sets)
-			setIndex[c] = si
-			w.Sets = append(w.Sets, ks)
-			w.Weights = append(w.Weights, 0)
-			typesBySet = append(typesBySet, nil)
-		}
-		w.Weights[si] += bag.Count(ti)
-		typesBySet[si] = append(typesBySet[si], ti)
-	}
-	return w, dict, typesBySet
-}
-
-// assignClusters maps each distinct key set to a cluster id under the
-// configured strategy. Weights ride along for per-entity statistics; no
-// strategy's clustering decisions depend on them (entity discovery is
-// multiplicity-blind, §6.4).
-func assignClusters(w entity.Weighted, dict *entity.Dict, cfg Config) []int {
+// assignClusters maps each distinct key set (over dim key ids) to a
+// cluster id under the configured strategy. Weights ride along for
+// per-entity statistics; no strategy's clustering decisions depend on
+// them (entity discovery is multiplicity-blind, §6.4).
+func assignClusters(w entity.Weighted, dim int, cfg Config) []int {
 	assignment := make([]int, len(w.Sets))
 	switch cfg.Partition {
 	case BimaxNaive, BimaxMerge:
@@ -304,7 +269,7 @@ func assignClusters(w entity.Weighted, dict *entity.Dict, cfg Config) []int {
 		if k <= 0 {
 			k = 1
 		}
-		assignment = entity.KMeans(w.Sets, dict.Len(), k, cfg.Seed, 100)
+		assignment = entity.KMeans(w.Sets, dim, k, cfg.Seed, 100)
 	}
 	return assignment
 }
@@ -334,21 +299,4 @@ func groupByAssignment(bag *jsontype.Bag, typesBySet [][]int, assignment []int) 
 		}
 	}
 	return out
-}
-
-func partitionPerKeySet(bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) []*jsontype.Bag {
-	dict := entity.NewDict()
-	index := map[string]*jsontype.Bag{}
-	var order []*jsontype.Bag
-	for ti, t := range bag.Types() {
-		c := entity.KeySetOf(dict, keySetOf(t)...).Canon()
-		part := index[c]
-		if part == nil {
-			part = &jsontype.Bag{}
-			index[c] = part
-			order = append(order, part)
-		}
-		part.AddN(t, bag.Count(ti))
-	}
-	return order
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"sync"
 
 	"jxplain/internal/jsontype"
@@ -82,36 +80,35 @@ func bagContentHash(bag *jsontype.Bag) uint64 {
 }
 
 // epochHash folds the pass-① decisions and pass-② plans of a decider into
-// the memo-invalidation key. Iteration order over the maps is irrelevant:
-// each entry is hashed independently and the results summed.
+// the memo-invalidation key. Each decision and each plan entry is hashed
+// independently and the results summed, so tree and map order are
+// irrelevant. Paths enter through their path hashes and key sets through
+// their hash canons (keySetHash), so no string is rebuilt.
 func (d *pipelineDecider) epochHash() uint64 {
 	var h uint64
-	var buf [16]byte
-	for path, dec := range d.decisions {
-		e := fnv.New64a()
-		e.Write([]byte(path))
-		buf[0] = boolByte(dec.hasArr)
-		buf[1] = byte(dec.arr)
-		buf[2] = boolByte(dec.hasObj)
-		buf[3] = byte(dec.obj)
-		e.Write(buf[:4])
-		h += mix64(e.Sum64())
-	}
-	for planKey, plan := range d.plans {
-		base := fnv.New64a()
-		base.Write([]byte(planKey))
-		binary.LittleEndian.PutUint64(buf[:8], uint64(plan.n))
-		base.Write(buf[:8])
-		h += mix64(base.Sum64())
-		for canon, cluster := range plan.assign {
-			e := fnv.New64a()
-			e.Write([]byte(planKey))
-			e.Write([]byte{0})
-			e.Write([]byte(canon))
-			binary.LittleEndian.PutUint64(buf[:8], uint64(cluster))
-			e.Write(buf[:8])
-			h += mix64(e.Sum64())
+	d.tree.each(func(n *pathNode) {
+		if !n.dec.hasArr && !n.dec.hasObj {
+			return
 		}
+		dec := uint64(boolByte(n.dec.hasArr)) | uint64(n.dec.arr)<<8 |
+			uint64(boolByte(n.dec.hasObj))<<16 | uint64(n.dec.obj)<<24
+		h += chain(1, n.hash, dec)
+	})
+	for key, plan := range d.plans {
+		point := chain(2, pathHash(key.path), uint64(boolByte(key.arr)))
+		h += chain(3, point, uint64(plan.n))
+		for canon, cluster := range plan.assign {
+			h += chain(point, canon, uint64(cluster))
+		}
+	}
+	return h
+}
+
+// chain hashes a short sequence of words, order-sensitively.
+func chain(words ...uint64) uint64 {
+	var h uint64
+	for _, w := range words {
+		h = mix64(h + w)
 	}
 	return h
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 
 	"jxplain/internal/dist"
@@ -194,40 +192,35 @@ func (a *Accumulator) Distinct() int {
 
 // Stats returns the pass-① path statistics over everything accumulated
 // (over the retained window horizon, in bounded mode).
-func (a *Accumulator) Stats() []PathStat {
-	if a.sketch != nil {
-		return a.statsSketch().Stats(a.cfg)
-	}
-	sample := SampleBag(a.unionBag(), a.cfg.DetectionSample, a.cfg.Seed)
-	return sketchFromBag(sample, fanOutWidth(sample.Distinct())).Stats(a.cfg)
-}
+func (a *Accumulator) Stats() []PathStat { return a.statsSketch().Stats(a.cfg) }
 
 // Finish runs passes ② and ③ over the accumulated collection and returns
 // the schema (unsimplified, like Pipeline). Subtree results are memoized
 // on the accumulator: a later Finish over a grown stream recomputes only
 // the subtrees whose bags (or global decisions) actually changed.
 func (a *Accumulator) Finish() schema.Schema {
-	return synthesize(a.unionBag(), a.Stats(), a.cfg, a.memo)
+	tree := a.statsSketch().root.derive(RootPath, a.cfg, nil)
+	return synthesize(a.unionBag(), tree, a.cfg, a.memo)
 }
 
 // synthesize runs passes ② and ③ over the full bag, consulting the
-// precomputed pass-① statistics. memo may be nil (no caching).
-func synthesize(bag *jsontype.Bag, stats []PathStat, cfg Config, memo *mergeMemo) schema.Schema {
+// pass-① decision tree. memo may be nil (no caching).
+func synthesize(bag *jsontype.Bag, tree *pathNode, cfg Config, memo *mergeMemo) schema.Schema {
 	pool := dist.NewPool(fanOutWidth(bag.Distinct()))
 	dec := &pipelineDecider{
-		cfg:       cfg,
-		decisions: decisionMap(stats),
-		plans:     map[string]*partitionPlan{},
-		pool:      pool,
+		cfg:   cfg,
+		tree:  tree,
+		plans: map[planKey]*partitionPlan{},
+		pool:  pool,
 	}
-	dec.collectPlans(RootPath, bag) // pass ②
+	dec.eachPoint(tree, bag, dec.buildPlan) // pass ②
 	if memo != nil {
 		// The memo is only sound while the global decisions and plans that
 		// shaped its entries still hold; a changed epoch drops the cache.
 		memo.validate(dec.epochHash())
 	}
 	s := &synthesizer{dec: dec, pool: pool, memo: memo}
-	return s.merge(RootPath, bag) // pass ③
+	return s.merge(tree, bag) // pass ③
 }
 
 // PipelineChunks runs the staged pipeline over a chunk source: next is
@@ -271,203 +264,190 @@ func SampleBag(bag *jsontype.Bag, fraction float64, seed int64) *jsontype.Bag {
 	return out
 }
 
-// pathDecision stores the pass-① outcome for one path, separately for the
-// array-kinded and object-kinded values observed there.
-type pathDecision struct {
-	arr, obj       entropy.Decision
-	hasArr, hasObj bool
-}
-
-func decisionMap(stats []PathStat) map[string]pathDecision {
-	out := map[string]pathDecision{}
-	for _, st := range stats {
-		d := out[st.Path]
-		if st.Kind == jsontype.KindArray {
-			d.arr, d.hasArr = st.Decision, true
-		} else {
-			d.obj, d.hasObj = st.Decision, true
-		}
-		out[st.Path] = d
-	}
-	return out
-}
-
-// partitionPlan is the pass-② output for one tuple path: a deterministic
-// assignment of key sets to entity ids. Key sets are identified by a
-// dictionary-independent canonical string so the plan survives across
-// passes.
+// partitionPlan is the pass-② output for one partition point: the entity
+// of every distinct type pass ② saw there, which pass ③ reads back without
+// re-extracting features, plus the key-set → entity assignment behind it.
+// Key sets are identified by their hash canon (keySetHash), which is
+// dictionary-independent, so the epoch hash and the fallback for types
+// pass ② never saw agree across walks.
 type partitionPlan struct {
-	assign map[string]int
-	n      int
+	byType map[uint64]int // type id -> entity
+	assign map[uint64]int // keySetHash -> entity
+	n      int            // entities numbered so far
 }
 
-// keySetCanon renders a key-name set canonically (names are already sorted
-// for objects via Type.Keys; array index sets are sorted numerically by
-// construction order, which is stable).
-func keySetCanon(names []string) string {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, "\x00")
+// planKey names a partition point: the path string of its handle, and
+// whether the plan partitions the array-kinded or object-kinded values
+// there.
+type planKey struct {
+	path string
+	arr  bool
 }
 
 type pipelineDecider struct {
-	cfg       Config
-	decisions map[string]pathDecision
-	pool      *dist.Pool
+	cfg  Config
+	tree *pathNode // pass-① decisions; read-only
+	pool *dist.Pool
 
-	// mu guards plans during the concurrent pass-② walk and the
-	// plan.assign fallback writes during pass ③; decisions is read-only
-	// after construction.
+	// mu guards plans during the concurrent pass-② walk and the plan
+	// fallback writes during pass ③.
 	mu    sync.Mutex
-	plans map[string]*partitionPlan
+	plans map[planKey]*partitionPlan
 }
 
-func (d *pipelineDecider) arrayDecision(path string, arrays *jsontype.Bag) entropy.Decision {
-	if dec, ok := d.decisions[path]; ok && dec.hasArr {
-		return dec.arr
+func (d *pipelineDecider) arrayDecision(p *pathNode, arrays *jsontype.Bag) entropy.Decision {
+	if p.dec.hasArr {
+		return p.dec.arr
 	}
-	// Unreached in normal operation: fall back to the local heuristic.
-	return (&localDecider{cfg: d.cfg}).arrayDecision(path, arrays)
+	// A path pass ① never saw: fall back to the local heuristic.
+	return (&localDecider{cfg: d.cfg}).arrayDecision(p, arrays)
 }
 
-func (d *pipelineDecider) objectDecision(path string, objects *jsontype.Bag) entropy.Decision {
-	if dec, ok := d.decisions[path]; ok && dec.hasObj {
-		return dec.obj
+func (d *pipelineDecider) objectDecision(p *pathNode, objects *jsontype.Bag) entropy.Decision {
+	if p.dec.hasObj {
+		return p.dec.obj
 	}
-	return (&localDecider{cfg: d.cfg}).objectDecision(path, objects)
+	return (&localDecider{cfg: d.cfg}).objectDecision(p, objects)
 }
 
-func (d *pipelineDecider) partitionObjects(path string, objects *jsontype.Bag) []*jsontype.Bag {
-	return d.partitionWithPlan("O:"+path, objects, d.featureKeySet(path))
+func (d *pipelineDecider) partitionObjects(p *pathNode, objects *jsontype.Bag) []*jsontype.Bag {
+	return d.partition(p, false, objects)
 }
 
-func (d *pipelineDecider) partitionArrays(path string, arrays *jsontype.Bag) []*jsontype.Bag {
-	return d.partitionWithPlan("A:"+path, arrays, d.featureKeySet(path))
+func (d *pipelineDecider) partitionArrays(p *pathNode, arrays *jsontype.Bag) []*jsontype.Bag {
+	return d.partition(p, true, arrays)
 }
 
-// featureKeySet builds the §6.4 deep-path feature extractor for a
-// partition point, answering nested tuple/collection questions from the
-// pass-① decision map (paths below the partition point are absolute paths
-// prefixed by it).
-func (d *pipelineDecider) featureKeySet(base string) func(*jsontype.Type) []string {
-	decide := func(rel string, kind jsontype.Kind) entropy.Decision {
-		dec, ok := d.decisions[base+rel]
-		if !ok {
-			return entropy.Tuple
-		}
-		if kind == jsontype.KindArray {
-			if dec.hasArr {
-				return dec.arr
-			}
-			return entropy.Tuple
-		}
-		if dec.hasObj {
-			return dec.obj
-		}
-		return entropy.Tuple
-	}
-	return func(t *jsontype.Type) []string { return featurePaths(t, decide, true) }
-}
-
-func (d *pipelineDecider) partitionWithPlan(planKey string, bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) []*jsontype.Bag {
-	if d.cfg.Partition == SingleEntity || d.cfg.Partition == PerKeySet {
-		return partitionBag(bag, keySetOf, d.cfg)
-	}
+// partition is pass ③'s entity split at one partition point: each type
+// takes the entity pass ② assigned it. Pass-③ bags are sub-bags of the
+// pass-② bag at the same path wherever the decisions above are global, so
+// the lookup normally always hits; features are extracted only for types
+// it misses.
+func (d *pipelineDecider) partition(p *pathNode, arr bool, bag *jsontype.Bag) []*jsontype.Bag {
 	d.mu.Lock()
-	plan := d.plans[planKey]
+	plan := d.plans[planKey{p.path, arr}]
 	d.mu.Unlock()
 	if plan == nil {
-		// Unreached in normal operation.
-		return partitionBag(bag, keySetOf, d.cfg)
-	}
-	// Feature extraction is the expensive part; do it outside the lock.
-	canons := make([]string, bag.Distinct())
-	for ti, t := range bag.Types() {
-		canons[ti] = keySetCanon(keySetOf(t))
+		// No plan is needed for SingleEntity and PerKeySet; otherwise this
+		// is reached only where pass ③'s local decisions (at paths pass ①
+		// never saw) diverge from pass ②'s. Either way, split on the spot.
+		return partitionBag(p, bag, d.cfg)
 	}
 	assignment := make([]int, bag.Distinct())
-	d.mu.Lock()
-	next := plan.n
-	for ti, c := range canons {
-		cluster, ok := plan.assign[c]
+	var missed []int
+	for ti, t := range bag.Types() {
+		cluster, ok := plan.byType[t.ID()]
 		if !ok {
-			// A key set unseen in pass ② (possible only if the data changed
-			// between passes): isolate it as a fresh entity.
-			cluster = next
-			plan.assign[c] = cluster
-			next++
+			missed = append(missed, ti)
 		}
 		assignment[ti] = cluster
 	}
-	d.mu.Unlock()
+	if len(missed) > 0 {
+		d.assignMissed(p, plan, bag, missed, assignment)
+	}
+	self := make([]int, bag.Distinct())
 	typesBySet := make([][]int, bag.Distinct())
 	for i := range typesBySet {
-		typesBySet[i] = []int{i}
+		self[i] = i
+		typesBySet[i] = self[i : i+1]
 	}
 	return groupByAssignment(bag, typesBySet, assignment)
 }
 
-// collectPlans is pass ②: walk the data along the pass-① decisions and,
-// at every tuple path, precompute the key-set → entity assignment. Child
-// subtrees are independent, so with a pool they are walked concurrently —
-// entity discovery (Bimax clustering inside buildPlan) dominates pass-②
-// cost and every partition point gets its own private key-set dictionary,
-// so the fan-out shares nothing but the plans map.
-func (d *pipelineDecider) collectPlans(path string, bag *jsontype.Bag) {
+// assignMissed places types pass ② never saw at a partition point: a key
+// set the plan knows joins its entity, and an unseen key set becomes a
+// fresh entity. The entity counter lives on the plan, under d.mu, so
+// unseen key sets met by different calls never share an id.
+func (d *pipelineDecider) assignMissed(p *pathNode, plan *partitionPlan, bag *jsontype.Bag, missed, assignment []int) {
+	w := newFeatureWalker(p)
+	hashes := make([]uint64, len(missed))
+	for i, ti := range missed {
+		hashes[i] = w.keySetHash(w.features(bag.Types()[ti]))
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, ti := range missed {
+		cluster, ok := plan.assign[hashes[i]]
+		if !ok {
+			cluster = plan.n
+			plan.assign[hashes[i]] = cluster
+			plan.n++
+		}
+		assignment[ti] = cluster
+	}
+}
+
+// eachPoint is the walk of pass ②: it follows the pass-① decisions down
+// the data and calls point at every partition point — every path whose
+// array- or object-kinded values are tuples — with the bag of those
+// values. Child subtrees are independent, so with a pool they are walked
+// concurrently; point must be safe for concurrent use.
+func (d *pipelineDecider) eachPoint(p *pathNode, bag *jsontype.Bag, point func(p *pathNode, arr bool, bag *jsontype.Bag)) {
 	_, arrays, objects := bag.SplitKinds()
 
 	type child struct {
-		path string
-		bag  *jsontype.Bag
+		p   *pathNode
+		bag *jsontype.Bag
 	}
 	var children []child
 
 	if arrays.Len() > 0 {
-		if d.arrayDecision(path, arrays) == entropy.Collection {
+		if d.arrayDecision(p, arrays) == entropy.Collection {
 			if elems := arrays.Elements(); elems.Len() > 0 {
-				children = append(children, child{arrayElemPath(path), elems})
+				children = append(children, child{p.arrayElem(), elems})
 			}
 		} else {
-			d.buildPlan("A:"+path, arrays, d.featureKeySet(path))
+			point(p, true, arrays)
 			groups, _ := arrays.GroupByIndex()
 			for i, g := range groups {
-				children = append(children, child{arrayIndexPath(path, i), g})
+				children = append(children, child{p.index(i), g})
 			}
 		}
 	}
 	if objects.Len() > 0 {
-		if d.objectDecision(path, objects) == entropy.Collection {
+		if d.objectDecision(p, objects) == entropy.Collection {
 			if values := objects.FieldValues(); values.Len() > 0 {
-				children = append(children, child{objectValuePath(path), values})
+				children = append(children, child{p.objectValue(), values})
 			}
 		} else {
-			d.buildPlan("O:"+path, objects, d.featureKeySet(path))
+			point(p, false, objects)
 			keys, groups, _ := objects.GroupByKey()
 			for i, key := range keys {
-				children = append(children, child{childKeyPath(path, key), groups[i]})
+				children = append(children, child{p.field(key), groups[i]})
 			}
 		}
 	}
 	d.pool.ForEach(len(children), func(i int) {
-		d.collectPlans(children[i].path, children[i].bag)
+		d.eachPoint(children[i].p, children[i].bag, point)
 	})
 }
 
-func (d *pipelineDecider) buildPlan(planKey string, bag *jsontype.Bag, keySetOf func(*jsontype.Type) []string) {
+// buildPlan is pass ② at one partition point: extract every distinct
+// type's feature set once, cluster the distinct sets, and record the
+// entity of each type. Entity discovery (Bimax clustering) dominates
+// pass-② cost, and every point numbers its features privately over the
+// shared read-only tree, so concurrent points share nothing but the plans
+// map.
+func (d *pipelineDecider) buildPlan(p *pathNode, arr bool, bag *jsontype.Bag) {
 	if d.cfg.Partition == SingleEntity || d.cfg.Partition == PerKeySet {
 		return // no plan needed
 	}
-	w, dict, typesBySet := collectKeySets(bag, keySetOf)
-	assignment := assignClusters(w, dict, d.cfg)
-	plan := &partitionPlan{assign: map[string]int{}}
+	ks := newFeatureWalker(p).keySets(bag)
+	assignment := assignClusters(ks.w, ks.dim, d.cfg)
+	plan := &partitionPlan{
+		byType: make(map[uint64]int, bag.Distinct()),
+		assign: make(map[uint64]int, len(assignment)),
+	}
 	for si, cluster := range assignment {
-		ti := typesBySet[si][0]
-		plan.assign[keySetCanon(keySetOf(bag.Types()[ti]))] = cluster
+		plan.assign[ks.hashes[si]] = cluster
+		for _, ti := range ks.typesBySet[si] {
+			plan.byType[bag.Types()[ti].ID()] = cluster
+		}
 		if cluster+1 > plan.n {
 			plan.n = cluster + 1
 		}
 	}
 	d.mu.Lock()
-	d.plans[planKey] = plan
+	d.plans[planKey{p.path, arr}] = plan
 	d.mu.Unlock()
 }

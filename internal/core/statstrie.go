@@ -341,29 +341,141 @@ func (t *statsTrie) arrayEvidence() entropy.Evidence {
 	}
 }
 
+// pathNode is one abstract path of a decision tree — pass ①'s, built by
+// derive, or a recursive partition point's, built by subtreeDecisions: the
+// handle passes ② and ③ use instead of path strings. Each node carries the
+// pass-① decisions at its path and the path string derive renders anyway
+// (for PathStat rows and memo keys), so neither pass concatenates paths
+// for anything pass ① saw. The tree is read-only once derived, so the
+// concurrent passes read it without locks. Paths pass ① never saw (a
+// DetectionSample draw, a bounded window horizon) get local handles with
+// no decisions: Tuple for feature descent, the local heuristic for the
+// pass-②/③ questions — exactly the defaults of a missing decision.
+type pathNode struct {
+	path string
+	hash uint64 // pathHash(path)
+	dec  pathDecision
+
+	fields map[string]*pathNode // object-tuple children by key
+	elems  []*pathNode          // array-tuple children by position
+	elem   *pathNode            // "[*]": elements of an array collection
+	value  *pathNode            // ".{*}": values of an object collection
+}
+
+// pathDecision stores the pass-① outcome for one path, separately for the
+// array-kinded and object-kinded values observed there.
+type pathDecision struct {
+	arr, obj       entropy.Decision
+	hasArr, hasObj bool
+}
+
+func newPathNode(path string) *pathNode {
+	return &pathNode{path: path, hash: pathHash(path)}
+}
+
+// pathHash is 64-bit FNV-1a over the path string: stable across
+// processes and Finish calls, unlike the node pointers.
+func pathHash(path string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(path); i++ {
+		h ^= uint64(path[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// The child handles below return the tree's node when pass ① saw the
+// path and a fresh local handle otherwise. A nil handle has nil children:
+// the recursive Discover's synthesizer threads nil, as it keeps no
+// global tree.
+
+func (n *pathNode) field(key string) *pathNode {
+	if n == nil {
+		return nil
+	}
+	if c := n.fields[key]; c != nil {
+		return c
+	}
+	return newPathNode(childKeyPath(n.path, key))
+}
+
+func (n *pathNode) index(i int) *pathNode {
+	if n == nil {
+		return nil
+	}
+	if i < len(n.elems) {
+		return n.elems[i]
+	}
+	return newPathNode(arrayIndexPath(n.path, i))
+}
+
+func (n *pathNode) arrayElem() *pathNode {
+	if n == nil {
+		return nil
+	}
+	if n.elem != nil {
+		return n.elem
+	}
+	return newPathNode(arrayElemPath(n.path))
+}
+
+func (n *pathNode) objectValue() *pathNode {
+	if n == nil {
+		return nil
+	}
+	if n.value != nil {
+		return n.value
+	}
+	return newPathNode(objectValuePath(n.path))
+}
+
+// each calls fn for every node of the tree, in no particular order.
+func (n *pathNode) each(fn func(*pathNode)) {
+	fn(n)
+	for _, c := range n.fields {
+		c.each(fn)
+	}
+	for _, c := range n.elems {
+		c.each(fn)
+	}
+	if n.elem != nil {
+		n.elem.each(fn)
+	}
+	if n.value != nil {
+		n.value.each(fn)
+	}
+}
+
 // derive walks the aggregated trie top-down, emitting the same PathStat
-// rows the sequential CollectPathStats produces.
-func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
+// rows the sequential CollectPathStats produces (unsorted; out may be nil
+// when only the tree is wanted), and returns the decision tree of the
+// paths it visited. Tree nodes exist for every path the walk reaches,
+// leaves and primitive-only collection elements included.
+func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) *pathNode {
+	n := newPathNode(path)
 	if t.arrCount > 0 {
 		ev := t.arrayEvidence()
 		decision := entropy.Decide(ev, cfg.Detection)
 		if !cfg.DetectArrayTuples {
 			decision = entropy.Collection
 		}
-		*out = append(*out, PathStat{
-			Path: path, Kind: jsontype.KindArray, Decision: decision, Evidence: ev,
-		})
+		n.dec.arr, n.dec.hasArr = decision, true
+		if out != nil {
+			*out = append(*out, PathStat{
+				Path: path, Kind: jsontype.KindArray, Decision: decision, Evidence: ev,
+			})
+		}
 		if decision == entropy.Collection {
 			merged := newStatsTrie()
 			for _, e := range t.elems {
 				merged.combineShared(e)
 			}
-			if merged.objCount > 0 || merged.arrCount > 0 {
-				merged.derive(arrayElemPath(path), cfg, out)
-			}
+			// An empty merge (primitive elements only) derives a bare leaf.
+			n.elem = merged.derive(arrayElemPath(path), cfg, out)
 		} else {
+			n.elems = make([]*pathNode, len(t.elems))
 			for i, e := range t.elems {
-				e.derive(arrayIndexPath(path, i), cfg, out)
+				n.elems[i] = e.derive(arrayIndexPath(path, i), cfg, out)
 			}
 		}
 	}
@@ -373,24 +485,27 @@ func (t *statsTrie) derive(path string, cfg Config, out *[]PathStat) {
 		if !cfg.DetectObjectCollections {
 			decision = entropy.Tuple
 		}
-		*out = append(*out, PathStat{
-			Path: path, Kind: jsontype.KindObject, Decision: decision, Evidence: ev,
-		})
+		n.dec.obj, n.dec.hasObj = decision, true
+		if out != nil {
+			*out = append(*out, PathStat{
+				Path: path, Kind: jsontype.KindObject, Decision: decision, Evidence: ev,
+			})
+		}
 		if decision == entropy.Collection {
 			merged := newStatsTrie()
 			keys := sortedKeys(t.children)
 			for _, k := range keys {
 				merged.combineShared(t.children[k])
 			}
-			if merged.objCount > 0 || merged.arrCount > 0 {
-				merged.derive(objectValuePath(path), cfg, out)
-			}
+			n.value = merged.derive(objectValuePath(path), cfg, out)
 		} else {
+			n.fields = make(map[string]*pathNode, len(t.children))
 			for _, k := range sortedKeys(t.children) {
-				t.children[k].derive(childKeyPath(path, k), cfg, out)
+				n.fields[k] = t.children[k].derive(childKeyPath(path, k), cfg, out)
 			}
 		}
 	}
+	return n
 }
 
 func sortedKeys(m map[string]*statsTrie) []string {

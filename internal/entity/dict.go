@@ -3,9 +3,9 @@ package entity
 // Dict interns key names to dense integer ids.
 //
 // A Dict is single-writer: ID mutates and must only be called from one
-// goroutine at a time. The parallel pass ② of the discovery pipeline
-// therefore builds one private Dict per partition point (never sharing a
-// Dict across concurrent plan builds); code that wants to hand a
+// goroutine at a time, so every partition point builds its own (the
+// staged pipeline numbers its features over path handles, in the same
+// first-seen order, without a Dict); code that wants to hand a
 // dictionary to concurrent readers while continuing to intern should pass
 // a Snapshot instead.
 type Dict struct {
