@@ -65,7 +65,8 @@ cover:
 fuzz:
 	$(GO) test -fuzz FuzzFromJSON -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzDecodeAll -fuzztime 30s ./internal/jsontype/
-	$(GO) test -fuzz FuzzScan -fuzztime 30s ./internal/jsontype/
+	$(GO) test -fuzz '^FuzzScan$$' -fuzztime 30s ./internal/jsontype/
+	$(GO) test -fuzz FuzzScanSequence -fuzztime 30s ./internal/jsontype/
 	$(GO) test -fuzz FuzzKeySet -fuzztime 30s ./internal/entity/
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/schema/
 	$(GO) test -fuzz FuzzSketchDecode -fuzztime 30s ./internal/core/

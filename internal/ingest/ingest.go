@@ -3,15 +3,16 @@
 // jsontype.Bag through a decode worker pool.
 //
 // This is the streaming front half of discovery. A single splitter
-// goroutine frames raw records (a cheap byte scan for JSONL, a value-level
+// goroutine frames raw records (a newline search for JSONL, a value-level
 // token scan for concatenated JSON), batches them into chunks of
 // Options.ChunkSize records, and hands the chunks to Options.Workers
 // decoding goroutines; decoded chunks are re-sequenced and delivered to
 // the caller strictly in input order, so downstream accumulation is
-// deterministic regardless of worker scheduling. Memory is bounded by
-// O(ChunkSize · Workers) raw records in flight — never by the length of
-// the stream — which is what lets the pipeline discover collections far
-// larger than RAM.
+// deterministic regardless of worker scheduling. A JSONL chunk is one
+// buffer holding its lines, which the workers split again themselves.
+// Memory is bounded by O(ChunkSize · Workers) raw records in flight —
+// never by the length of the stream — which is what lets the pipeline
+// discover collections far larger than RAM.
 //
 // Cancellation: every stage watches the caller's context; on cancellation
 // Each tears the stages down, waits for all goroutines to exit, and
@@ -24,8 +25,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 
@@ -41,8 +44,8 @@ type Options struct {
 	// JSONL frames records as non-blank lines (strict JSONL) instead of
 	// scanning concatenated JSON values; errors then carry line numbers.
 	JSONL bool
-	// MaxRecordBytes caps a single record's size in JSONL mode
-	// (default 64 MiB).
+	// MaxRecordBytes caps a single record's size in JSONL mode: a longer
+	// line fails with an error wrapping bufio.ErrTooLong (default 64 MiB).
 	MaxRecordBytes int
 }
 
@@ -70,11 +73,42 @@ type Chunk struct {
 	Index int
 }
 
-// rawChunk is a batch of framed-but-undecoded records.
+// rawChunk is a batch of undecoded records: JSONL lines in one buffer, or
+// concatenated-JSON values framed one by one.
 type rawChunk struct {
-	index     int
-	firstLine int // 1-based line of the first record (JSONL), else ordinal
-	records   [][]byte
+	index   int
+	first   int      // 1-based line of data's first line (JSONL), else ordinal of records[0]
+	data    []byte   // JSONL: whole lines, blank ones included
+	records [][]byte // concatenated JSON
+}
+
+// fold decodes the chunk's records into bag, in order.
+func (c rawChunk) fold(bag *jsontype.Bag) error {
+	for i, rec := range c.records {
+		t, err := jsontype.FromJSON(rec)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", c.first+i, err)
+		}
+		bag.Add(t)
+	}
+	line := c.first
+	for data := c.data; len(data) > 0; line++ {
+		rec := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			rec, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if jsontype.Blank(rec) {
+			continue
+		}
+		t, err := jsontype.FromJSON(rec)
+		if err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
+		}
+		bag.Add(t)
+	}
+	return nil
 }
 
 // Each streams r as bounded chunks, calling fn once per chunk, in input
@@ -115,19 +149,7 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 			defer wg.Done()
 			for raw := range raws {
 				out := decoded{chunk: Chunk{Bag: &jsontype.Bag{}, Index: raw.index}}
-				for i, rec := range raw.records {
-					t, err := jsontype.FromJSON(rec)
-					if err != nil {
-						if opts.JSONL {
-							err = fmt.Errorf("line %d: %w", raw.firstLine+i, err)
-						} else {
-							err = fmt.Errorf("record %d: %w", raw.firstLine+i, err)
-						}
-						out.err = err
-						break
-					}
-					out.chunk.Bag.Add(t)
-				}
+				out.err = raw.fold(out.chunk.Bag)
 				out.chunk.Records = out.chunk.Bag.Len()
 				select {
 				case results <- out:
@@ -198,18 +220,16 @@ func Each(ctx context.Context, r io.Reader, opts Options, fn func(Chunk) error) 
 func Records(r io.Reader, opts Options, fn func(rec []byte) error) error {
 	opts = opts.withDefaults()
 	if opts.JSONL {
-		scanner := bufio.NewScanner(r)
-		scanner.Buffer(make([]byte, 0, 1<<16), opts.MaxRecordBytes)
-		for scanner.Scan() {
-			data := scanner.Bytes()
-			if len(bytes.TrimSpace(data)) == 0 {
+		lines := newJSONLLines(r, opts.MaxRecordBytes)
+		for lines.next() {
+			if jsontype.Blank(lines.rec) {
 				continue
 			}
-			if err := fn(data); err != nil {
+			if err := fn(lines.rec); err != nil {
 				return err
 			}
 		}
-		return scanner.Err()
+		return lines.err
 	}
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	record := 0
@@ -239,33 +259,33 @@ func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) 
 	}
 	index := 0
 	if opts.JSONL {
-		scanner := bufio.NewScanner(r)
-		scanner.Buffer(make([]byte, 0, 1<<16), opts.MaxRecordBytes)
-		var batch [][]byte
-		line, firstLine := 0, 0
-		for scanner.Scan() {
-			line++
-			data := scanner.Bytes()
-			if len(bytes.TrimSpace(data)) == 0 {
+		// A chunk is one buffer of its lines, blank ones included, cut
+		// right after every ChunkSize-th non-blank line: chunks hold
+		// exactly the records they held when every record was framed
+		// alone, since bounded ingestion rotates windows per chunk. The
+		// chunk just cut sizes the next buffer.
+		lines := newJSONLLines(r, opts.MaxRecordBytes)
+		buf := make([]byte, 0, 1<<16)
+		records, first := 0, 1
+		for lines.next() {
+			buf = append(append(buf, lines.rec...), '\n')
+			if jsontype.Blank(lines.rec) {
 				continue
 			}
-			if len(batch) == 0 {
-				firstLine = line
-			}
-			batch = append(batch, append([]byte(nil), data...))
-			if len(batch) >= opts.ChunkSize {
-				if err := send(rawChunk{index: index, firstLine: firstLine, records: batch}); err != nil {
+			if records++; records == opts.ChunkSize {
+				if err := send(rawChunk{index: index, first: first, data: buf}); err != nil {
 					return err
 				}
 				index++
-				batch = nil
+				records, first = 0, lines.line+1
+				buf = make([]byte, 0, len(buf)+len(buf)/8)
 			}
 		}
-		if err := scanner.Err(); err != nil {
-			return err
+		if lines.err != nil {
+			return lines.err
 		}
-		if len(batch) > 0 {
-			return send(rawChunk{index: index, firstLine: firstLine, records: batch})
+		if records > 0 {
+			return send(rawChunk{index: index, first: first, data: buf})
 		}
 		return nil
 	}
@@ -290,7 +310,7 @@ func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) 
 		}
 		batch = append(batch, []byte(raw))
 		if len(batch) >= opts.ChunkSize {
-			if err := send(rawChunk{index: index, firstLine: firstRecord, records: batch}); err != nil {
+			if err := send(rawChunk{index: index, first: firstRecord, records: batch}); err != nil {
 				return err
 			}
 			index++
@@ -298,7 +318,57 @@ func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) 
 		}
 	}
 	if len(batch) > 0 {
-		return send(rawChunk{index: index, firstLine: firstRecord, records: batch})
+		return send(rawChunk{index: index, first: firstRecord, records: batch})
 	}
 	return nil
 }
+
+// jsonlLines frames JSONL lines with a bufio.Scanner: rec is the current
+// line without its '\n' or "\r\n" and line its 1-based number. A line's
+// limit excludes its terminator, so a record of exactly MaxRecordBytes is
+// accepted whichever way the line ends.
+type jsonlLines struct {
+	sc   *bufio.Scanner
+	max  int
+	rec  []byte
+	line int
+	err  error
+}
+
+func newJSONLLines(r io.Reader, max int) *jsonlLines {
+	limit := max
+	if limit <= math.MaxInt-2 {
+		limit += 2 // room for "\r\n" in the scanner's buffer
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, min(1<<16, limit)), limit)
+	return &jsonlLines{sc: sc, max: max}
+}
+
+// next frames the next line, reporting false at the end of the stream or
+// on an error, which err then holds.
+func (l *jsonlLines) next() bool {
+	if !l.sc.Scan() {
+		l.err = l.sc.Err()
+		if errors.Is(l.err, bufio.ErrTooLong) {
+			l.err = &recordTooLongError{line: l.line + 1, max: l.max}
+		}
+		return false
+	}
+	l.line++
+	l.rec = l.sc.Bytes()
+	if len(l.rec) > l.max {
+		l.err = &recordTooLongError{line: l.line, max: l.max}
+		return false
+	}
+	return true
+}
+
+// recordTooLongError reports a JSONL line longer than MaxRecordBytes.
+type recordTooLongError struct{ line, max int }
+
+func (e *recordTooLongError) Error() string {
+	return fmt.Sprintf("line %d: record exceeds MaxRecordBytes (%d bytes)", e.line, e.max)
+}
+
+func (e *recordTooLongError) Unwrap() error { return bufio.ErrTooLong }

@@ -97,6 +97,47 @@ func FuzzScan(f *testing.F) {
 	})
 }
 
+// FuzzScanSequence is FuzzScan across records: the input is split on '\n'
+// and every line goes through one scanner, so shape predictions learned
+// from earlier lines (and left behind by rejected ones) are in play when
+// later lines are scanned. Each accepted line's type must be the pointer
+// FromValue derives from encoding/json's decode.
+func FuzzScanSequence(f *testing.F) {
+	seeds := []string{
+		"{\"a\":1,\"b\":\"x\"}\n{\"c\":[1]}\n{\"a\":1,\"b\":\"x\"}\n{\"c\":[1]}",
+		"{\"a\":1,\"b\":2}\n{\"a\":\"s\",\"b\":2}\n{\"a\":null,\"b\":{}}\n{\"a\":1,\"b\":2}",
+		"{\"a\":1,\"a\":\"x\"}\n{\"a\":1}\n{\"a\":\"x\",\"a\":1}",
+		"{\"a\":1}\n{\"\\u0061\":1}\n{\"a\":1,\"\\u0061\":\"s\"}\n{\"\\u0061\":true}",
+		"{\"a\":1,\"b\":2}\n{\"b\":2,\"a\":1}\n{\"a\":1,\"b\":2,\"c\":3}\n{\"a\":1}",
+		"{\"a\":{\"a\":{\"a\":1}}}\n{\"a\":{\"a\":{\"a\":1}}}\n{\"a\":{\"a\":1}}",
+		"{\"k\":[{\"x\":1},{\"y\":2},{\"x\":1}]}\n[{\"x\":1},{\"x\":\"s\"}]",
+		"{\"a\":1,\"b\":\n{\"a\":1,\"b\":2}",
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scan := NewScan()
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			got, gotErr := scan(line)
+			var v any
+			if !utf8.Valid(line) || json.Unmarshal(line, &v) != nil {
+				continue // no oracle; the scan must only stay total
+			}
+			if gotErr != nil {
+				t.Fatalf("oracle accepts %q, scanner rejects: %v", line, gotErr)
+			}
+			want, err := FromValue(v)
+			if err != nil {
+				t.Fatalf("FromValue on oracle output of %q: %v", line, err)
+			}
+			if got != want {
+				t.Fatalf("line %q of %q: scanner %v, oracle %v", line, data, got, want)
+			}
+		}
+	})
+}
+
 // FuzzDecodeAll exercises the multi-document decoder.
 func FuzzDecodeAll(f *testing.F) {
 	f.Add([]byte("{\"a\":1}\n{\"a\":2}"))

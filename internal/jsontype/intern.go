@@ -1,18 +1,19 @@
 package jsontype
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
 
 // Hash-consing interner. Every complex Type is registered in a sharded
-// global table at construction, keyed by a 64-bit structural hash (FNV-1a
-// over the kind, the child type ids, and — for objects — the field keys).
-// Child ids are unique by induction (children are interned before their
-// parent), so the hash covers the whole subtree in O(direct children)
-// work; hash collisions are resolved by a shallow structural scan of the
-// bucket, which again only compares child *pointers*.
+// global table at construction, keyed by a 64-bit structural hash that
+// mixes one word per child: the child's type id, preceded for objects by
+// the field key's hash. Child ids are unique by induction (children are
+// interned before their parent), so the hash covers the whole subtree in
+// O(direct children) work; hash collisions are resolved by a shallow
+// structural scan of the bucket, which again only compares child
+// *pointers*. Because ids follow intern order, the hash is per-process:
+// nothing outside the interner may read it.
 //
 // Consequences the rest of the system builds on:
 //
@@ -56,7 +57,7 @@ func newPrimitiveSingleton(k Kind, canon string) *Type {
 	return t
 }
 
-// FNV-1a 64-bit.
+// FNV-1a 64-bit, for primitives and key strings.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
@@ -64,16 +65,6 @@ const (
 
 //jx:hotpath
 func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
-
-//jx:hotpath
-func fnvUint64(h uint64, v uint64) uint64 {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	for _, b := range buf {
-		h = fnvByte(h, b)
-	}
-	return h
-}
 
 //jx:hotpath
 func fnvString(h uint64, s string) uint64 {
@@ -88,24 +79,45 @@ func hashPrimitive(k Kind) uint64 {
 	return fnvByte(fnvOffset, byte(k))
 }
 
+// hashKey is an object key's word in its parent's hash. The scanner
+// computes it once per distinct raw key and keeps it in its key table.
+//
+//jx:hotpath
+func hashKey(key string) uint64 { return fnvString(fnvOffset, key) }
+
+// mixWord folds one 64-bit word into a complex type's hash: a multiply to
+// spread low bits up, then a shift to bring high bits back down, since the
+// shard index reads the low bits.
+//
+//jx:hotpath
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
 //jx:hotpath
 func hashArray(elems []*Type) uint64 {
-	h := fnvByte(fnvOffset, byte(KindArray))
+	h := hashPrimitive(KindArray)
 	for _, e := range elems {
-		h = fnvUint64(h, e.id)
+		h = mixWord(h, e.id)
 	}
 	return h
 }
 
+// mixField adds one field to an object's hash. An object's hash starts
+// from hashPrimitive(KindObject) and mixes each field's key hash and child
+// id in key order. hashObject computes it from the field strings, and the
+// scanner from the key hashes its key table holds; both must agree, or
+// one type would intern twice (FuzzScan and FuzzScanSequence pin this).
+//
+//jx:hotpath
+func mixField(h, keyHash, id uint64) uint64 { return mixWord(mixWord(h, keyHash), id) }
+
 //jx:hotpath
 func hashObject(fields []Field) uint64 {
-	h := fnvByte(fnvOffset, byte(KindObject))
+	h := hashPrimitive(KindObject)
 	for _, f := range fields {
-		// NUL-terminated key then child id; a key containing NUL can at
-		// worst alias another hash input, which the bucket scan resolves.
-		h = fnvString(h, f.Key)
-		h = fnvByte(h, 0)
-		h = fnvUint64(h, f.Type.id)
+		h = mixField(h, hashKey(f.Key), f.Type.id)
 	}
 	return h
 }
@@ -148,17 +160,16 @@ func internArraySlice(elems []*Type, scratch bool) *Type {
 // slice is retained on a miss.
 //
 //jx:hotpath
-func internObject(fields []Field) *Type { return internObjectSlice(fields, false) }
+func internObject(fields []Field) *Type { return internObjectSlice(hashObject(fields), fields, false) }
 
-// internObjectScratch is internObject with copy-on-miss semantics (see
-// internArrayScratch).
+// internObjectScratch is internObject for fields whose hash the caller
+// already computed, with copy-on-miss semantics (see internArrayScratch).
 //
 //jx:hotpath
-func internObjectScratch(fields []Field) *Type { return internObjectSlice(fields, true) }
+func internObjectScratch(h uint64, fields []Field) *Type { return internObjectSlice(h, fields, true) }
 
 //jx:hotpath
-func internObjectSlice(fields []Field, scratch bool) *Type {
-	h := hashObject(fields)
+func internObjectSlice(h uint64, fields []Field, scratch bool) *Type {
 	shard := &internShards[h&(internShardCount-1)]
 	shard.mu.Lock()
 	for _, c := range shard.m[h] {

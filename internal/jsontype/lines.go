@@ -2,7 +2,6 @@ package jsontype
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 
@@ -29,7 +28,7 @@ func DecodeLines(r io.Reader, workers int) ([]*Type, error) {
 	for scanner.Scan() {
 		n++
 		data := scanner.Bytes()
-		if len(bytes.TrimSpace(data)) == 0 {
+		if Blank(data) {
 			continue
 		}
 		lines = append(lines, line{number: n, data: append([]byte(nil), data...)})
@@ -57,4 +56,18 @@ func DecodeLines(r io.Reader, workers int) ([]*Type, error) {
 		out[i] = res.t
 	}
 	return out, nil
+}
+
+// Blank reports whether a JSONL line holds only JSON whitespace (space,
+// tab, CR, LF): the lines JSONL framing skips. Any other byte, Unicode
+// space included, makes the line a record, which then fails to decode.
+func Blank(line []byte) bool {
+	for _, c := range line {
+		switch c {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return false
+		}
+	}
+	return true
 }

@@ -23,10 +23,13 @@ func TestDecodeLinesBasic(t *testing.T) {
 }
 
 func TestDecodeLinesReportsLineNumber(t *testing.T) {
-	input := "{\"a\":1}\n{broken\n{\"a\":2}\n"
-	_, err := DecodeLines(strings.NewReader(input), 4)
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("err = %v, want line 2", err)
+	// Whitespace JSON does not allow is content, not a blank line.
+	for _, bad := range []string{"{broken", "\v", "\f", "\u0085", "\u00a0"} {
+		input := "{\"a\":1}\n" + bad + "\n{\"a\":2}\n"
+		_, err := DecodeLines(strings.NewReader(input), 4)
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%q: err = %v, want line 2", input, err)
+		}
 	}
 }
 
