@@ -10,22 +10,25 @@
 // a sketch carries data statistics only. The reduce phase merges sketch
 // files *in argument order* — as a parallel tree when -reduce-workers
 // allows — and runs passes ②/③ once under the supplied configuration. run
-// is the single-machine driver: it streams the input into contiguous
-// shards, one `jxshard map` worker process per shard, and tree-reduces
-// their sketches.
+// is the single-machine driver: it cuts the input into contiguous byte
+// ranges, starts one `jxshard map` worker process per range, all at once,
+// and tree-reduces their sketches.
 //
 // Shards are contiguous ranges, not round-robin deals: concatenating the
 // shards reproduces the input stream, so reducing in shard order rebuilds
 // the exact first-seen type order a single process would have observed and
 // the discovered schema is byte-identical to a non-sharded run. The driver
-// never materializes the corpus: shard boundaries are found by scanning
-// record frames against byte quotas and each record is forwarded straight
-// to its worker's stdin, so the driver's memory is O(record), not
-// O(corpus).
+// never materializes the corpus: it finds each cut by reading forward from
+// a byte quota to the next record boundary (JSONL) or by one framing pass
+// (concatenated JSON), then hands every worker its own section of the
+// file as stdin, so the driver's memory is O(record), not O(corpus), and
+// the map workers run concurrently.
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -187,16 +190,16 @@ func reduceSketches(datas [][]byte, cfg core.Config, workers int, names []string
 	return acc, nil
 }
 
-// runRun is the single-machine scale-out driver: contiguous streamed
-// split, one map worker process per shard, tree reduce in shard order.
+// runRun is the single-machine scale-out driver: contiguous byte-range
+// split, one map worker process per shard, all running at once, and a
+// tree reduce in shard order.
 //
-// The input is never read into memory. Shard boundaries are byte quotas
-// over the input size (a Stat for regular files; anything else is spooled
-// to a temp file first, through a bounded copy buffer): each record is
-// scanned off the stream and forwarded to the current worker's stdin, and
-// the driver moves to the next worker at the first record boundary past
-// the quota. Workers are started upfront, so shard i decodes while shards
-// i+1.. are still being fed.
+// The input is never read into memory. The driver needs a seekable file
+// (a regular file as given; anything else is spooled to a temp file
+// first, through a bounded copy buffer). It cuts the file into n
+// contiguous byte ranges at record boundaries (cutShards) and starts
+// every map worker at once, each reading only its own range through its
+// stdin, so all shards decode concurrently.
 func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("jxshard run", flag.ContinueOnError)
 	cfgOf := algoFlags(fs)
@@ -230,11 +233,15 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	defer os.RemoveAll(tmp)
 
-	size, input, cleanInput, err := sizedInput(input, tmp)
+	f, size, cleanInput, err := sizedInput(input, tmp)
 	if err != nil {
 		return err
 	}
 	defer cleanInput()
+	cuts, err := cutShards(f, size, *shards, *jsonl)
+	if err != nil {
+		return err
+	}
 
 	exe, err := os.Executable()
 	if err != nil {
@@ -250,7 +257,7 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *chunk > 0 {
 		mapArgs = append(mapArgs, "-chunk", fmt.Sprint(*chunk))
 	}
-	sketches, err := feedShards(input, size, *shards, *jsonl, tmp, exe, mapArgs, stderr)
+	sketches, err := mapShards(f, cuts, tmp, exe, mapArgs, stderr)
 	if err != nil {
 		return err
 	}
@@ -271,23 +278,24 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	return printSchema(stdout, schema.Simplify(acc.Finish()), *format)
 }
 
-// sizedInput returns the input's byte size for quota computation, plus a
-// cleanup releasing whatever the sizing allocated. A regular file answers
-// with a Stat and needs no cleanup (the caller owns the handle); any
-// other reader (a pipe, a terminal) is spooled into dir through io.Copy's
-// bounded buffer — still O(buffer) memory — and replaced by the spool
-// file, which the cleanup closes and removes. Error paths inside release
-// the spool themselves, so a failed spool never outlives the call.
-func sizedInput(input io.Reader, dir string) (int64, io.Reader, func(), error) {
+// sizedInput returns the input as a seekable file plus its byte size, and
+// a cleanup releasing whatever the sizing allocated. A regular file
+// answers with a Stat and needs no cleanup (the caller owns the handle);
+// any other reader (a pipe, a terminal) is spooled into dir through
+// io.Copy's bounded buffer — still O(buffer) memory — and replaced by the
+// spool file, which the cleanup closes and removes. Error paths inside
+// release the spool themselves, so a failed spool never outlives the
+// call.
+func sizedInput(input io.Reader, dir string) (*os.File, int64, func(), error) {
 	if f, ok := input.(*os.File); ok {
 		if info, err := f.Stat(); err == nil && info.Mode().IsRegular() {
-			return info.Size(), f, func() {}, nil
+			return f, info.Size(), func() {}, nil
 		}
 	}
 	path := filepath.Join(dir, "input.spool")
 	spool, err := os.Create(path)
 	if err != nil {
-		return 0, nil, nil, err
+		return nil, 0, nil, err
 	}
 	cleanup := func() {
 		spool.Close()
@@ -296,80 +304,116 @@ func sizedInput(input io.Reader, dir string) (int64, io.Reader, func(), error) {
 	size, err := io.Copy(spool, input)
 	if err != nil {
 		cleanup()
-		return 0, nil, nil, fmt.Errorf("spooling input: %w", err)
+		return nil, 0, nil, fmt.Errorf("spooling input: %w", err)
 	}
-	if _, err := spool.Seek(0, io.SeekStart); err != nil {
-		cleanup()
-		return 0, nil, nil, err
-	}
-	return size, spool, cleanup, nil
+	return spool, size, cleanup, nil
 }
 
-// mapWorker is one running `jxshard map` process being fed its shard over
-// stdin.
-type mapWorker struct {
-	cmd   *exec.Cmd
-	stdin io.WriteCloser
+// cutShards cuts the input's size bytes into n contiguous ranges at
+// record boundaries: shard i is [cuts[i], cuts[i+1]), cuts[0] = 0 and
+// cuts[n] = size. Cut i is the first record boundary at or past the
+// quota size·i/n, so a record longer than a quota leaves the shards it
+// spans empty. Only the cuts are found here; the map workers still frame
+// and validate every record of their ranges.
+func cutShards(r io.ReaderAt, size int64, n int, jsonl bool) ([]int64, error) {
+	cuts := make([]int64, n+1)
+	cuts[n] = size
+	quota := func(i int) int64 { return size * int64(i) / int64(n) }
+	if jsonl {
+		// A JSONL record boundary is a line start, so each cut reads
+		// forward from its quota to the next '\n': O(record) bytes per
+		// cut, independent of the shard size.
+		buf := make([]byte, 4096)
+		for i := 1; i < n; i++ {
+			cut, err := lineStart(r, max(quota(i), cuts[i-1]), size, buf)
+			if err != nil {
+				return nil, err
+			}
+			cuts[i] = cut
+		}
+		return cuts, nil
+	}
+	// Concatenated JSON has no local boundary marker (a '}' may sit
+	// inside a string), so one framing pass with the decoder the map
+	// workers use records where each value ends, up to the last quota.
+	dec := json.NewDecoder(io.NewSectionReader(r, 0, size))
+	var raw json.RawMessage // reused: the pass holds O(record) bytes
+	i := 1
+	for i < n && quota(i) == 0 {
+		i++ // the input's start is a boundary
+	}
+	for record := 1; i < n && dec.More(); record++ {
+		if err := dec.Decode(&raw); err != nil {
+			return nil, fmt.Errorf("record %d: %w", record, err)
+		}
+		for end := dec.InputOffset(); i < n && end >= quota(i); i++ {
+			cuts[i] = end
+		}
+	}
+	for ; i < n; i++ {
+		cuts[i] = size
+	}
+	return cuts, nil
 }
 
-// feedShards starts n map workers reading stdin and writing per-shard
-// sketch files into tmp, then scans the input record by record, streaming
-// each record to the current worker and advancing at the first record
-// boundary past the shard's byte quota (size·(i+1)/n). It waits for every
-// worker and returns the sketch paths in shard order.
-func feedShards(input io.Reader, size int64, n int, jsonl bool, tmp, exe string, mapArgs []string, stderr io.Writer) ([]string, error) {
+// lineStart returns the first line start at or past off: off itself when
+// it is 0 or follows a '\n', else the offset just past the next '\n', or
+// size when no line starts after off.
+func lineStart(r io.ReaderAt, off, size int64, buf []byte) (int64, error) {
+	if off == 0 {
+		return 0, nil
+	}
+	for pos := off - 1; pos < size; {
+		k, err := r.ReadAt(buf[:min(int64(len(buf)), size-pos)], pos)
+		if i := bytes.IndexByte(buf[:k], '\n'); i >= 0 {
+			return pos + int64(i) + 1, nil
+		}
+		if err == io.EOF {
+			break // the file shrank since it was sized
+		}
+		if err != nil {
+			return 0, err
+		}
+		pos += int64(k)
+	}
+	return size, nil
+}
+
+// mapShards starts one map worker process per range [cuts[i], cuts[i+1])
+// of f, all at once, each reading its own section of f through its stdin
+// and writing a sketch file into tmp. It waits for every worker and
+// returns the sketch paths in shard order. A failed worker's error names
+// its shard and byte range, since the line or record numbers the worker
+// reports count from the start of its shard.
+func mapShards(f *os.File, cuts []int64, tmp, exe string, mapArgs []string, stderr io.Writer) ([]string, error) {
+	n := len(cuts) - 1
 	sketches := make([]string, n)
-	workerz := make([]*mapWorker, n)
-	for i := range workerz {
+	cmds := make([]*exec.Cmd, 0, n)
+	var err error
+	for i := range sketches {
 		sketches[i] = filepath.Join(tmp, fmt.Sprintf("shard%d.jxsk", i))
-		args := append([]string{"map", "-o", sketches[i]}, mapArgs...)
-		cmd := exec.Command(exe, args...)
+		cmd := exec.Command(exe, append([]string{"map", "-o", sketches[i]}, mapArgs...)...)
+		cmd.Stdin = io.NewSectionReader(f, cuts[i], cuts[i+1]-cuts[i])
 		cmd.Stderr = stderr
 		// Lets a test binary recognize it must act as jxshard.
 		cmd.Env = append(os.Environ(), "JXSHARD_WORKER_PROCESS=1")
-		w, err := cmd.StdinPipe()
+		if err = cmd.Start(); err != nil {
+			err = fmt.Errorf("starting map worker %d: %w", i, err)
+			break
+		}
+		cmds = append(cmds, cmd)
+	}
+	for i, cmd := range cmds {
 		if err != nil {
-			return nil, err
+			cmd.Process.Kill() // a worker failed or never started: the run is over
 		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		workerz[i] = &mapWorker{cmd: cmd, stdin: w}
-	}
-	// On every return path, close any unfed stdin (workers see EOF and
-	// emit an empty sketch) and reap the processes.
-	cur, written := 0, int64(0)
-	scanErr := ingest.Records(input, ingest.Options{JSONL: jsonl}, func(rec []byte) error {
-		for cur < n-1 && written >= size*int64(cur+1)/int64(n) {
-			if err := workerz[cur].stdin.Close(); err != nil {
-				return err
-			}
-			cur++
-		}
-		w := workerz[cur].stdin
-		if _, err := w.Write(rec); err != nil {
-			return fmt.Errorf("feeding shard %d: %w", cur, err)
-		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
-			return fmt.Errorf("feeding shard %d: %w", cur, err)
-		}
-		written += int64(len(rec)) + 1
-		return nil
-	})
-	var waitErr error
-	for i, w := range workerz {
-		w.stdin.Close() // idempotent; signals EOF to every remaining shard
-		if err := w.cmd.Wait(); err != nil && waitErr == nil {
-			waitErr = fmt.Errorf("map worker %d: %w", i, err)
+		if werr := cmd.Wait(); werr != nil && err == nil {
+			err = fmt.Errorf("map shard %d of %d, input bytes %d-%d (its line and record numbers count from the shard's first byte): %w",
+				i, n, cuts[i], cuts[i+1], werr)
 		}
 	}
-	// A worker failure usually explains the feed error (a broken pipe is
-	// the symptom, the worker's exit status the cause), so report it first.
-	if waitErr != nil {
-		return nil, waitErr
-	}
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
 	return sketches, nil
 }

@@ -122,6 +122,7 @@ func formatErrf(offset int, format string, args ...any) error {
 type keyDict struct {
 	ids   map[string]int
 	order []string
+	size  int // encoded bytes of the keys in order
 }
 
 func newKeyDict() *keyDict { return &keyDict{ids: map[string]int{}} }
@@ -133,8 +134,12 @@ func (d *keyDict) id(key string) int {
 	id := len(d.order)
 	d.ids[key] = id
 	d.order = append(d.order, key)
+	d.size += uvarintLen(uint64(len(key))) + len(key)
 	return id
 }
+
+// sectionLen is the exact size of the body appendSection writes.
+func (d *keyDict) sectionLen() int { return uvarintLen(uint64(len(d.order))) + d.size }
 
 func (d *keyDict) appendSection(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(d.order)))
@@ -154,13 +159,13 @@ type sketchEncoder struct {
 	keys  *keyDict
 	types *jsontype.TypeEncoder
 
-	// Body scratch buffers, owned by the encoder while pooled. assemble
-	// copies them into the exactly-sized output, so releasing the encoder
-	// never aliases bytes handed to the caller.
+	// Bag and trie body scratch, owned by the encoder while pooled: the
+	// type table and key dictionary grow while these bodies are built, so
+	// the bodies are built first and copied into the exactly-sized output
+	// by assemble. Releasing the encoder never aliases bytes handed to
+	// the caller.
 	bagBuf  []byte
 	trieBuf []byte
-	keysBuf []byte
-	typeBuf []byte
 }
 
 var sketchEncoderPool = sync.Pool{
@@ -178,6 +183,7 @@ func getSketchEncoder() *sketchEncoder {
 func (e *sketchEncoder) release() {
 	clear(e.keys.ids)
 	e.keys.order = e.keys.order[:0]
+	e.keys.size = 0
 	e.types.Reset()
 	sketchEncoderPool.Put(e)
 }
@@ -252,39 +258,39 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // framedLen is the on-wire cost of one section: tag byte, body-length
 // varint, body.
-func framedLen(body []byte) int { return 1 + uvarintLen(uint64(len(body))) + len(body) }
+func framedLen(body int) int { return 1 + uvarintLen(uint64(body)) + body }
 
 // assemble frames the encoded bodies into the final file bytes. bagBody
 // and trieBody may be nil (section absent). The output is allocated once,
-// at its exact final size, summed from the section lengths — the returned
-// slice is the caller's; none of the encoder's scratch leaks into it.
+// at its exact final size, summed from the section lengths; the key
+// dictionary and type table know their sizes up front and are written
+// straight into it. The returned slice is the caller's; none of the
+// encoder's scratch leaks into it.
 func (e *sketchEncoder) assemble(bagBody, trieBody []byte) []byte {
-	keysBody := e.keys.appendSection(e.keysBuf[:0])
-	e.keysBuf = keysBody
-	typeBody := e.types.Append(e.typeBuf[:0])
-	e.typeBuf = typeBody
-
+	keysLen, typeLen := e.keys.sectionLen(), e.types.Size()
 	var flags byte
-	total := len(sketchMagic) + 2 + framedLen(keysBody) + framedLen(typeBody)
+	total := len(sketchMagic) + 2 + framedLen(keysLen) + framedLen(typeLen)
 	if bagBody != nil {
 		flags |= flagBag
-		total += framedLen(bagBody)
+		total += framedLen(len(bagBody))
 	}
 	if trieBody != nil {
 		flags |= flagTrie
-		total += framedLen(trieBody)
+		total += framedLen(len(trieBody))
 	}
 
 	out := make([]byte, 0, total)
 	out = append(out, sketchMagic...)
 	out = append(out, SketchFormatVersion, flags)
+	out = binary.AppendUvarint(append(out, secKeys), uint64(keysLen))
+	out = e.keys.appendSection(out)
+	out = binary.AppendUvarint(append(out, secType), uint64(typeLen))
+	out = e.types.Append(out)
 	section := func(tag byte, body []byte) {
 		out = append(out, tag)
 		out = binary.AppendUvarint(out, uint64(len(body)))
 		out = append(out, body...)
 	}
-	section(secKeys, keysBody)
-	section(secType, typeBody)
 	if bagBody != nil {
 		section(secBag, bagBody)
 	}

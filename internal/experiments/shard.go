@@ -32,9 +32,9 @@ type ShardRow struct {
 	Workers int    `json:"workers"`
 
 	// MapNs is the map phase wall time per op: all shards decoded, folded
-	// and marshaled, running concurrently as cmd/jxshard's worker
-	// processes do (here as goroutines, so the grid isolates the
-	// algorithmic scaling from process spawn cost).
+	// and marshaled concurrently, as `jxshard run`'s worker processes do,
+	// each on its own byte range of the input (here as goroutines, so the
+	// grid isolates the algorithmic scaling from process spawn cost).
 	MapNs float64 `json:"map_ns"`
 	// ReduceNs covers sketch decode, merge, and passes ②/③.
 	ReduceNs float64 `json:"reduce_ns"`

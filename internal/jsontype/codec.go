@@ -3,6 +3,8 @@ package jsontype
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Structural type codec. Serialized discovery state (sketch files, the
@@ -11,11 +13,10 @@ import (
 // workers observing the same structure assign different ids. The codec
 // therefore writes types *structurally*, as a table in which children
 // precede their parents, and writes references as table positions. On
-// decode every entry is rebuilt through NewArray/NewObject, i.e.
-// re-interned into the receiving process's table, so pointer-identity
-// equality (and everything built on it: Bag dedup keys, memo keys,
-// Similar's fast path) holds across the wire exactly as it does
-// in-process.
+// decode every entry is re-interned into the receiving process's table,
+// so pointer-identity equality (and everything built on it: Bag dedup
+// keys, memo keys, Similar's fast path) holds across the wire exactly as
+// it does in-process.
 //
 // Reference space:
 //
@@ -32,8 +33,9 @@ import (
 // Child refs always point at primitives or *earlier* table entries;
 // object keys are strictly increasing within an entry (Type.Fields is
 // key-sorted). The decoder rejects violations of either property, which
-// is what keeps it total on corrupt input: NewObject panics on duplicate
-// keys, so the decoder must never reach it with any.
+// is what keeps it total on corrupt input: an object interned with
+// unsorted or duplicate keys would break pointer identity, so the
+// decoder must never intern one.
 
 // firstComplexRef is the reference of table entry 0.
 const firstComplexRef = 5
@@ -46,6 +48,7 @@ func primitiveRef(k Kind) uint64 { return uint64(k) + 1 }
 type TypeEncoder struct {
 	refs  map[*Type]uint64
 	order []*Type // complex types, children before parents
+	size  int     // encoded bytes of the entries in order
 }
 
 // NewTypeEncoder returns an empty encoder.
@@ -67,25 +70,35 @@ func (e *TypeEncoder) Ref(t *Type) uint64 {
 	if r, ok := e.refs[t]; ok {
 		return r
 	}
-	// Children first: their refs must be smaller than the parent's.
+	// Children first: their refs must be smaller than the parent's. The
+	// entry's encoded size is summed on the way, so Append can size the
+	// table exactly.
+	size := 1 + uvarintLen(uint64(t.Len()))
 	switch t.Kind() {
 	case KindArray:
 		for _, c := range t.Elems() {
-			e.Ref(c)
+			size += uvarintLen(e.Ref(c))
 		}
 	case KindObject:
 		for _, f := range t.Fields() {
-			e.Ref(f.Type)
+			size += uvarintLen(uint64(len(f.Key))) + len(f.Key) + uvarintLen(e.Ref(f.Type))
 		}
 	}
 	r := uint64(len(e.order)) + firstComplexRef
 	e.refs[t] = r
 	e.order = append(e.order, t)
+	e.size += size
 	return r
 }
 
 // Len returns the number of complex table entries interned so far.
 func (e *TypeEncoder) Len() int { return len(e.order) }
+
+// Size returns the exact number of bytes Append will write.
+func (e *TypeEncoder) Size() int { return uvarintLen(uint64(len(e.order))) + e.size }
+
+// uvarintLen returns the encoded size of v as an unsigned LEB128 varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Reset empties the encoder for reuse, keeping the allocated table
 // capacity — the hook that lets callers pool encoders across Marshal
@@ -93,6 +106,7 @@ func (e *TypeEncoder) Len() int { return len(e.order) }
 func (e *TypeEncoder) Reset() {
 	clear(e.refs)
 	e.order = e.order[:0]
+	e.size = 0
 }
 
 // refOf resolves an already-interned type (or primitive) to its wire
@@ -105,8 +119,9 @@ func (e *TypeEncoder) refOf(t *Type) uint64 {
 }
 
 // Append serializes the table section onto buf and returns the extended
-// slice.
+// slice, growing buf at most once, by exactly Size bytes.
 func (e *TypeEncoder) Append(buf []byte) []byte {
+	buf = slices.Grow(buf, e.Size())
 	buf = binary.AppendUvarint(buf, uint64(len(e.order)))
 	for _, t := range e.order {
 		buf = append(buf, byte(t.Kind()))
@@ -133,11 +148,25 @@ type TypeDecoder struct {
 	table []*Type
 }
 
+// tableKey is one distinct object key of the table being decoded: the
+// string every field carrying it shares, and its word in the object hash.
+type tableKey struct {
+	key  string
+	hash uint64
+}
+
 // DecodeTypeTable decodes a table section from the front of data,
 // re-interning every entry, and returns the decoder plus the number of
 // bytes consumed. It never panics: malformed input (truncation, forward
 // or out-of-range references, unsorted or duplicate object keys,
 // primitive kinds in the table) yields an error.
+//
+// Entries are built in two scratch slices and interned with copy-on-miss,
+// so only types new to this process allocate. Keys are cached per table:
+// each distinct key costs one string and one hash however many entries
+// carry it, and an object's hash is mixed field by field, exactly as
+// hashObject would compute it. Strict key order is checked here, which is
+// what lets the decoder skip NewObject's sort and duplicate scan.
 func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 	pos := 0
 	n, err := readUvarint(data, &pos, "type table length")
@@ -149,6 +178,9 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 		return nil, 0, fmt.Errorf("jsontype: type table claims %d entries with %d bytes left", n, len(data)-pos)
 	}
 	d := &TypeDecoder{table: make([]*Type, 0, n)}
+	var elems []*Type
+	var fields []Field
+	keys := map[string]tableKey{}
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(data) {
 			return nil, 0, fmt.Errorf("jsontype: type table truncated at entry %d", i)
@@ -164,15 +196,15 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 			if m > uint64(len(data)-pos) {
 				return nil, 0, fmt.Errorf("jsontype: array entry claims %d elements with %d bytes left", m, len(data)-pos)
 			}
-			elems := make([]*Type, m)
-			for j := range elems {
-				c, err := d.readRef(data, &pos, uint64(i))
+			elems = elems[:0]
+			for j := uint64(0); j < m; j++ {
+				c, err := d.readRef(data, &pos, i)
 				if err != nil {
 					return nil, 0, err
 				}
-				elems[j] = c
+				elems = append(elems, c)
 			}
-			d.table = append(d.table, NewArray(elems))
+			d.table = append(d.table, internArrayScratch(elems))
 		case KindObject:
 			m, err := readUvarint(data, &pos, "field count")
 			if err != nil {
@@ -181,9 +213,9 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 			if m > uint64(len(data)-pos) {
 				return nil, 0, fmt.Errorf("jsontype: object entry claims %d fields with %d bytes left", m, len(data)-pos)
 			}
-			fields := make([]Field, m)
-			prev := ""
-			for j := range fields {
+			fields = fields[:0]
+			h := hashPrimitive(KindObject)
+			for j := uint64(0); j < m; j++ {
 				kl, err := readUvarint(data, &pos, "key length")
 				if err != nil {
 					return nil, 0, err
@@ -191,19 +223,25 @@ func DecodeTypeTable(data []byte) (*TypeDecoder, int, error) {
 				if kl > uint64(len(data)-pos) {
 					return nil, 0, fmt.Errorf("jsontype: key length %d exceeds %d remaining bytes", kl, len(data)-pos)
 				}
-				key := string(data[pos : pos+int(kl)])
+				raw := data[pos : pos+int(kl)]
 				pos += int(kl)
-				if j > 0 && key <= prev {
-					return nil, 0, fmt.Errorf("jsontype: object keys not strictly sorted (%q after %q)", key, prev)
+				k, ok := keys[string(raw)]
+				if !ok {
+					k = tableKey{key: string(raw)}
+					k.hash = hashKey(k.key)
+					keys[k.key] = k
 				}
-				prev = key
-				c, err := d.readRef(data, &pos, uint64(i))
+				if j > 0 && k.key <= fields[j-1].Key {
+					return nil, 0, fmt.Errorf("jsontype: object keys not strictly sorted (%q after %q)", k.key, fields[j-1].Key)
+				}
+				c, err := d.readRef(data, &pos, i)
 				if err != nil {
 					return nil, 0, err
 				}
-				fields[j] = Field{Key: key, Type: c}
+				fields = append(fields, Field{Key: k.key, Type: c})
+				h = mixField(h, k.hash, c.id)
 			}
-			d.table = append(d.table, NewObject(fields))
+			d.table = append(d.table, internObjectScratch(h, fields))
 		default:
 			return nil, 0, fmt.Errorf("jsontype: invalid kind byte %d in type table", kind)
 		}

@@ -1,6 +1,9 @@
 package jsontype
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -30,18 +33,57 @@ func codecSampleTypes(t *testing.T) []*Type {
 	return out
 }
 
+// codecSharedKeyTypes builds n pharma-like records whose objects draw
+// their keys from one shared domain, so a decoded table repeats the same
+// keys across many entries and in many combinations.
+func codecSharedKeyTypes(t *testing.T, n int) []*Type {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	domain := make([]string, 60)
+	for i := range domain {
+		domain[i] = fmt.Sprintf("DRUG_%02d", i)
+	}
+	out := make([]*Type, n)
+	for i := range out {
+		counts := map[string]any{}
+		for _, k := range domain {
+			if rng.Intn(6) == 0 {
+				counts[k] = 1.0
+			}
+		}
+		rec := map[string]any{"npi": 1.0, "cms_prescription_counts": counts}
+		if rng.Intn(2) == 0 {
+			rec["provider_variables"] = map[string]any{"DRUG_00": "x", "region": "y"}
+		}
+		doc, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = FromJSON(doc); err != nil {
+			t.Fatalf("FromJSON(%s): %v", doc, err)
+		}
+	}
+	return out
+}
+
 // TestTypeCodecRoundTripIdentity pins the codec's defining property: a
 // decoded reference resolves to the *same pointer* as the encoded type,
 // because decoding re-interns every entry. Pointer identity — not just
-// structural equality — is what Bag dedup and the merge memo rely on.
+// structural equality — is what Bag dedup and the merge memo rely on. The
+// shared-key records go through the decoder's key cache and its
+// field-by-field hash, so a hash that disagreed with the one FromJSON
+// interned under would show here as a fresh pointer.
 func TestTypeCodecRoundTripIdentity(t *testing.T) {
-	types := codecSampleTypes(t)
+	types := append(codecSampleTypes(t), codecSharedKeyTypes(t, 150)...)
 	enc := NewTypeEncoder()
 	refs := make([]uint64, len(types))
 	for i, ty := range types {
 		refs[i] = enc.Ref(ty)
 	}
 	data := enc.Append(nil)
+	if enc.Size() != len(data) {
+		t.Fatalf("Size() = %d, Append wrote %d bytes", enc.Size(), len(data))
+	}
 
 	dec, n, err := DecodeTypeTable(data)
 	if err != nil {
@@ -130,15 +172,21 @@ func TestTypeCodecRejectsMalformed(t *testing.T) {
 	}
 
 	cases := map[string][]byte{
-		"bad kind":         {1, 9, 0},
-		"forward ref":      {2, byte(KindArray), 1, 6},          // entry 0 referencing entry 1
-		"self ref":         {1, byte(KindArray), 1, 5},          // entry 0 referencing itself
-		"nil child":        {1, byte(KindArray), 1, 0},          // ref 0 as a child
-		"huge count":       {1, byte(KindArray), 255, 255, 127}, // element count beyond input
-		"table too big":    {255, 255, 255, 127},
-		"primitive entry":  {1, byte(KindNull)},
-		"unsorted keys":    {1, byte(KindObject), 2, 1, 'b', 1, 1, 'a', 1},
-		"duplicate keys":   {1, byte(KindObject), 2, 1, 'a', 1, 1, 'a', 1},
+		"bad kind":        {1, 9, 0},
+		"forward ref":     {2, byte(KindArray), 1, 6},          // entry 0 referencing entry 1
+		"self ref":        {1, byte(KindArray), 1, 5},          // entry 0 referencing itself
+		"nil child":       {1, byte(KindArray), 1, 0},          // ref 0 as a child
+		"huge count":      {1, byte(KindArray), 255, 255, 127}, // element count beyond input
+		"table too big":   {255, 255, 255, 127},
+		"primitive entry": {1, byte(KindNull)},
+		"unsorted keys":   {1, byte(KindObject), 2, 1, 'b', 1, 1, 'a', 1},
+		"duplicate keys":  {1, byte(KindObject), 2, 1, 'a', 1, 1, 'a', 1},
+		// The same two checks once the keys come from the decoder's key
+		// cache, filled by a valid first entry.
+		"repeated cached key": {2, byte(KindObject), 2, 1, 'a', 1, 1, 'b', 1,
+			byte(KindObject), 2, 1, 'b', 1, 1, 'b', 1},
+		"unsorted cached keys": {2, byte(KindObject), 2, 1, 'a', 1, 1, 'b', 1,
+			byte(KindObject), 2, 1, 'b', 1, 1, 'a', 1},
 		"key past end":     {1, byte(KindObject), 1, 200, 'a'},
 		"overlong varint":  append([]byte{}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80),
 		"out of range ref": nil, // handled below via dec.Type
