@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short check lint lint-sarif lint-fix-dryrun cover fuzz bench bench-stream bench-window bench-hotpath bench-entity bench-shard bench-reduce experiments clean
+.PHONY: all build vet test test-short check lint lint-sarif lint-fix-dryrun cover fuzz bench experiments clean
 
 all: build vet test
 
@@ -76,52 +76,10 @@ fuzz:
 # Go benchmarks in benchstat-compatible format (-count=10 gives benchstat
 # enough samples for a significance test). To compare against a baseline:
 # run `make bench > old.txt` on the base commit, re-run on your branch as
-# new.txt, then `benchstat old.txt new.txt`. The committed JSON baselines
-# (results/BENCH_hotpath_pr1.json, results/BENCH_hotpath.json) track the
-# end-to-end pipeline op instead — regenerate with `make bench-hotpath`
-# and compare the allocs_per_op / ns_per_op columns directly.
+# new.txt, then `benchstat old.txt new.txt`. End-to-end throughput and
+# memory per workload are perfbench's job (perfbench/run.sh).
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem -count=10 ./...
-	$(GO) run ./cmd/jxbench -table entity -trials 3
-
-# Streaming vs materialized ingestion comparison (throughput and peak
-# heap), written to results/BENCH_stream.json.
-bench-stream:
-	$(GO) run ./cmd/jxbench -table stream -json-out results/BENCH_stream.json
-
-# Bounded-stream grid: churn streams at 1/2/5/10× the memory budget,
-# exact vs reservoir+ring+decay, with hard flat-state checks, plus the
-# per-dataset bounded-vs-exact decision tolerance. Written to
-# results/BENCH_window.json.
-bench-window:
-	$(GO) run ./cmd/jxbench -table window -json-out results/BENCH_window.json
-
-# Allocation/hot-path benchmark (interning + bitsets + parallel synthesis)
-# with ratios against the committed PR-1 baseline, written to
-# results/BENCH_hotpath.json.
-bench-hotpath:
-	$(GO) run ./cmd/jxbench -table hotpath -json-out results/BENCH_hotpath.json
-
-# Entity-discovery scaling grid (weighted dedup + posting-index Bimax and
-# GreedyMerge vs the quadratic reference) over the wide synthetic
-# datasets, written to results/BENCH_entity.json.
-bench-entity:
-	$(GO) run ./cmd/jxbench -table entity -trials 3 -json-out results/BENCH_entity.json
-
-# Sharded map/reduce discovery over the 1/2/4/8-worker grid: contiguous
-# split, parallel shard folds through the sketch wire format, in-order
-# reduce, with byte-equivalence against single-process discovery checked
-# on every cell. Written to results/BENCH_shard.json.
-bench-shard:
-	$(GO) run ./cmd/jxbench -table shard -json-out results/BENCH_shard.json
-
-# Parallel tree reduce over the 1..32-shard × 1..8-reduce-worker grid:
-# wall time and allocs for the merge-into decoder, the materialize
-# baseline on the sequential rows, with byte-equivalence against
-# single-process discovery checked before any cell is timed. Written to
-# results/BENCH_reduce.json.
-bench-reduce:
-	$(GO) run ./cmd/jxbench -table reduce -json-out results/BENCH_reduce.json
 
 # Regenerates every table and figure of the paper's evaluation into
 # results/jxbench_full.txt (about a minute at scale 0.5).

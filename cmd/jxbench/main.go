@@ -11,10 +11,6 @@
 //	jxbench -table threshold        # threshold-sensitivity ablation
 //	jxbench -table staged           # recursive vs pipeline ablation
 //	jxbench -table iterative        # §4.2 sampling loop
-//	jxbench -table stream -json-out results/BENCH_stream.json
-//	                                # streaming vs materialized ingestion
-//	jxbench -table window -json-out results/BENCH_window.json
-//	                                # bounded streams: reservoir+ring+decay
 //	jxbench -all                    # everything
 //
 // -datasets restricts to a comma-separated list; -csv switches output to
@@ -48,7 +44,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("jxbench", flag.ContinueOnError)
-	tableF := fs.String("table", "", "table to run: 1..5, edits, threshold, staged, iterative, sampled, fd, describe, stream, hotpath, entity, shard, reduce, window")
+	tableF := fs.String("table", "", "table to run: 1..5, edits, threshold, staged, iterative, sampled, fd, describe")
 	figureF := fs.String("figure", "", "figure to run: 4 or 5")
 	all := fs.Bool("all", false, "run every table, figure and ablation")
 	datasets := fs.String("datasets", "", "comma-separated dataset subset")
@@ -56,8 +52,6 @@ func run(args []string, stdout io.Writer) error {
 	scale := fs.Float64("scale", 1.0, "dataset size multiplier")
 	seed := fs.Int64("seed", 1, "experiment seed")
 	csv := fs.Bool("csv", false, "emit CSV instead of ASCII tables")
-	jsonOut := fs.String("json-out", "",
-		"also write results supporting JSON (e.g. -table stream) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	if err := fs.Parse(args); err != nil {
@@ -97,7 +91,7 @@ func run(args []string, stdout io.Writer) error {
 	var runs []string
 	switch {
 	case *all:
-		runs = []string{"1", "2", "3", "4", "5", "fig4", "fig5", "edits", "threshold", "staged", "iterative", "sampled", "fd", "describe", "stream"}
+		runs = []string{"1", "2", "3", "4", "5", "fig4", "fig5", "edits", "threshold", "staged", "iterative", "sampled", "fd", "describe"}
 	case *tableF != "":
 		runs = []string{*tableF}
 	case *figureF != "":
@@ -115,19 +109,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprint(stdout, res.CSV())
 		} else {
 			fmt.Fprintln(stdout, res.Render())
-		}
-		if *jsonOut != "" {
-			j, ok := res.(interface{ JSON() ([]byte, error) })
-			if !ok {
-				return fmt.Errorf("experiment %q has no JSON form", name)
-			}
-			data, err := j.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -163,18 +144,6 @@ func dispatch(name string, opts experiments.Options) (result, error) {
 		return experiments.RunFD(opts)
 	case "describe":
 		return experiments.RunDescribe(opts)
-	case "stream":
-		return experiments.RunStreamBench(opts)
-	case "hotpath":
-		return experiments.RunHotpath(opts)
-	case "entity":
-		return experiments.RunEntityBench(opts)
-	case "shard":
-		return experiments.RunShardBench(opts)
-	case "reduce":
-		return experiments.RunReduceBench(opts)
-	case "window":
-		return experiments.RunWindowBench(opts)
 	}
 	return nil, fmt.Errorf("unknown experiment %q", name)
 }

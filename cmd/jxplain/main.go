@@ -26,10 +26,9 @@
 // Accumulated state can cross process boundaries through the versioned
 // sketch wire format: -emit-sketch writes the accumulator instead of a
 // schema, and repeated -merge-sketch flags seed the accumulator from
-// sketch files (merged in flag order, as a parallel tree when
-// -reduce-workers allows) before any input is ingested — together they
-// form a map/reduce pair (see also cmd/jxshard, the dedicated scale-out
-// driver).
+// sketch files (merged in flag order, as a parallel tree with one merge
+// worker per core) before any input is ingested — together they form a
+// map/reduce pair (see also cmd/jxshard, the dedicated scale-out driver).
 package main
 
 import (
@@ -85,8 +84,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var mergeSketches sketchList
 	fs.Var(&mergeSketches, "merge-sketch",
 		"seed the accumulator from this sketch file before ingesting input (repeatable; merged in flag order)")
-	reduceWorkers := fs.Int("reduce-workers", 0,
-		"concurrent -merge-sketch workers (0 = one per core, 1 = sequential)")
 	capacity := fs.Int("capacity", 0,
 		"bound distinct-type state to a weighted reservoir of this many types (0 = exact)")
 	window := fs.Int("window", 0,
@@ -174,7 +171,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			}
 			datas[i] = data
 		}
-		if err := acc.MergeSketches(datas, *reduceWorkers); err != nil {
+		if err := acc.MergeSketches(datas, 0); err != nil {
 			var merr *core.SketchMergeError
 			if errors.As(err, &merr) && merr.Index < len(mergeSketches) {
 				return fmt.Errorf("merging sketch %s: %w", mergeSketches[merr.Index], merr.Err)

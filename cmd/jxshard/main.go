@@ -2,14 +2,14 @@
 // the versioned sketch wire format.
 //
 //	jxshard map    [-jsonl] [-workers N] [-chunk N] -o out.jxsk [file]
-//	jxshard reduce [algorithm flags] [-reduce-workers N] [-format F] sketch...
-//	jxshard run    [-shards N] [-jsonl] [-reduce-workers N] [algorithm flags] [-format F] [file]
+//	jxshard reduce [algorithm flags] [-format F] sketch...
+//	jxshard run    [-shards N] [-jsonl] [algorithm flags] [-format F] [file]
 //
 // The map phase folds one shard of the input into an accumulator and
 // writes its serialized sketch — no algorithm configuration needed, since
 // a sketch carries data statistics only. The reduce phase merges sketch
-// files *in argument order* — as a parallel tree when -reduce-workers
-// allows — and runs passes ②/③ once under the supplied configuration. run
+// files *in argument order* — as a parallel tree, one merge worker per
+// core — and runs passes ②/③ once under the supplied configuration. run
 // is the single-machine driver: it cuts the input into contiguous byte
 // ranges, starts one `jxshard map` worker process per range, all at once,
 // and tree-reduces their sketches.
@@ -140,15 +140,13 @@ func runMap(args []string, stdin io.Reader) error {
 	return os.WriteFile(*out, data, 0o644)
 }
 
-// runReduce merges sketch files in argument order — as a parallel tree
-// when -reduce-workers allows — and synthesizes the schema once.
+// runReduce merges sketch files in argument order — as a parallel tree,
+// one merge worker per core — and synthesizes the schema once.
 func runReduce(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("jxshard reduce", flag.ContinueOnError)
 	cfgOf := algoFlags(fs)
 	format := fs.String("format", "pretty",
 		"output: pretty (paper notation), jsonschema, or native")
-	reduceWorkers := fs.Int("reduce-workers", 0,
-		"concurrent sketch-merge workers (0 = one per core, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -165,7 +163,7 @@ func runReduce(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	acc, err := reduceSketches(datas, cfg, *reduceWorkers, fs.Args())
+	acc, err := reduceSketches(datas, cfg, fs.Args())
 	if err != nil {
 		return err
 	}
@@ -175,11 +173,11 @@ func runReduce(args []string, stdout io.Writer) error {
 	return printSchema(stdout, schema.Simplify(acc.Finish()), *format)
 }
 
-// reduceSketches tree-merges the sketches (byte-identical to a sequential
-// fold at every worker count) and translates a failing file's index back
-// into its name for the error message.
-func reduceSketches(datas [][]byte, cfg core.Config, workers int, names []string) (*core.Accumulator, error) {
-	acc, err := core.ReduceSketches(datas, cfg, workers)
+// reduceSketches tree-merges the sketches, one merge worker per core
+// (byte-identical to a sequential fold at every width), and translates a
+// failing file's index back into its name for the error message.
+func reduceSketches(datas [][]byte, cfg core.Config, names []string) (*core.Accumulator, error) {
+	acc, err := core.ReduceSketches(datas, cfg, 0)
 	if err != nil {
 		var merr *core.SketchMergeError
 		if errors.As(err, &merr) && merr.Index < len(names) {
@@ -209,8 +207,6 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		"output: pretty (paper notation), jsonschema, or native")
 	workers := fs.Int("workers", 0, "decode workers per map process (0 = one per core)")
 	chunk := fs.Int("chunk", 0, "records per ingestion chunk (0 = default 2048)")
-	reduceWorkers := fs.Int("reduce-workers", 0,
-		"concurrent sketch-merge workers (0 = one per core, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -268,7 +264,7 @@ func runRun(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	acc, err := reduceSketches(datas, cfg, *reduceWorkers, nil)
+	acc, err := reduceSketches(datas, cfg, nil)
 	if err != nil {
 		return err
 	}
@@ -342,7 +338,13 @@ func cutShards(r io.ReaderAt, size int64, n int, jsonl bool) ([]int64, error) {
 	for i < n && quota(i) == 0 {
 		i++ // the input's start is a boundary
 	}
-	for record := 1; i < n && dec.More(); record++ {
+	for record := 1; i < n; record++ {
+		if more, err := ingest.More(dec, record); !more {
+			if err != nil {
+				return nil, err
+			}
+			break
+		}
 		if err := dec.Decode(&raw); err != nil {
 			return nil, fmt.Errorf("record %d: %w", record, err)
 		}

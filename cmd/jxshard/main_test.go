@@ -216,6 +216,34 @@ func TestShardRunConcatenatedJSON(t *testing.T) {
 	}
 }
 
+// TestShardRunStrayCloserFails pins that a stray top-level ']' or '}' in
+// concatenated JSON fails the run, whether the driver's cut pass (two
+// shards) or a map worker's framing (one shard) meets it, instead of
+// reducing only the records before it.
+func TestShardRunStrayCloserFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	for _, input := range []string{`{"a":1} ] {"b":"x"}`, `{"a":1} } {"b":"x"}`} {
+		if _, err := cutShards(strings.NewReader(input), int64(len(input)), 2, false); err == nil ||
+			!strings.HasPrefix(err.Error(), "record 2:") {
+			t.Errorf("cutShards(%q): err = %v, want record 2: …", input, err)
+		}
+		path := filepath.Join(t.TempDir(), "input.json")
+		if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []string{"1", "2"} {
+			var out bytes.Buffer
+			err := run([]string{"run", "-shards", shards, "-format", "native", path}, nil, &out, io.Discard)
+			if err == nil || out.Len() != 0 {
+				t.Errorf("%q over %s shards: err = %v, output %q; want an error and no schema",
+					input, shards, err, out.String())
+			}
+		}
+	}
+}
+
 // TestShardRunStdinSpool drives run with a non-seekable stdin, covering
 // the spool path that sizes the byte quotas, and requires the same golden
 // schema as the file-backed run.
@@ -267,6 +295,8 @@ func TestShardRunSpoolCleanup(t *testing.T) {
 
 // TestShardRunReduceWorkers pins that the parallel tree reduce leaves the
 // output byte-identical to the sequential fold from the CLI surface too.
+// The reduce is one merge worker per core wide, so GOMAXPROCS=1 is the
+// sequential fold and GOMAXPROCS=4 a four-worker tree.
 func TestShardRunReduceWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -276,17 +306,20 @@ func TestShardRunReduceWorkers(t *testing.T) {
 	if err := os.WriteFile(input, datasetJSONL(t, g, 300), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var seq, par bytes.Buffer
-	if err := run([]string{"run", "-shards", "8", "-reduce-workers", "1", "-jsonl", "-format", "native", input},
-		nil, &seq, os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"run", "-shards", "8", "-reduce-workers", "4", "-jsonl", "-format", "native", input},
-		nil, &par, os.Stderr); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		procs int
+		out   *bytes.Buffer
+	}{{1, &seq}, {4, &par}} {
+		runtime.GOMAXPROCS(c.procs)
+		if err := run([]string{"run", "-shards", "8", "-jsonl", "-format", "native", input},
+			nil, c.out, os.Stderr); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(par.Bytes(), seq.Bytes()) {
-		t.Errorf("-reduce-workers 4 schema diverges from sequential reduce\ngot:  %s\nwant: %s",
+		t.Errorf("4-worker tree reduce diverges from sequential reduce\ngot:  %s\nwant: %s",
 			par.Bytes(), seq.Bytes())
 	}
 }
@@ -422,7 +455,7 @@ func mapReduceSections(t *testing.T, input []byte, cuts []int64, jsonl bool) []b
 			t.Fatal(err)
 		}
 	}
-	acc, err := reduceSketches(datas, core.Default(), 1, nil)
+	acc, err := reduceSketches(datas, core.Default(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

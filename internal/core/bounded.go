@@ -19,7 +19,7 @@ import (
 // remaining unbounded term is the global type interner, which is
 // append-only by design (pointer identity is the bag's currency); its
 // per-type footprint is small and flat-RSS claims are made net of it —
-// see DESIGN.md "Unbounded streams" and the window benchmark.
+// see DESIGN.md "Unbounded streams" and the bounded-stream tests.
 
 // advance moves the bounded stream's record clock forward by n and
 // rotates once when the clock passes the cadence. An add is atomic with

@@ -73,7 +73,7 @@ func (s *PathSketch) Decay(factor float64) {
 }
 
 // Nodes returns the number of trie nodes held by the sketch — the memory
-// proxy the flat-RSS assertions and the window benchmark report.
+// proxy the flat-state assertions of the bounded-stream tests check.
 func (s *PathSketch) Nodes() int { return s.root.nodeCount() }
 
 // Stats derives the pass-① path statistics from the sketch, sorted by

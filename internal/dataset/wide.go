@@ -3,9 +3,9 @@ package dataset
 import "fmt"
 
 // Wide synthesizes a flat record stream with a controlled number of
-// ground-truth entities, built for the entity-discovery scaling benchmark:
-// the interesting axis there is the number of *distinct key sets* reaching
-// Bimax, which real datasets cap at a few thousand. Every entity carries a
+// ground-truth entities, built to scale entity discovery: the interesting
+// axis there is the number of *distinct key sets* reaching Bimax, which
+// real datasets cap at a few thousand. Every entity carries a
 // disjoint block of mandatory keys plus a block of optional keys sampled
 // per record, so distinct-set count grows with both entity count and
 // record count (up to 2^wideOptional subsets per entity). A small fraction
@@ -64,8 +64,8 @@ func wideEntityNames(n int) []string {
 	return out
 }
 
-// WideRegistry returns the wide generators used by the entity-scaling
-// benchmark. They are deliberately not part of Registry: the golden
+// WideRegistry returns the wide generators the entity package checks its
+// indexed clustering against the quadratic reference on. They are deliberately not part of Registry: the golden
 // byte-equivalence suite and the experiment defaults iterate the paper's
 // thirteen datasets, and the wide family is a synthetic scaling probe, not
 // an evaluation corpus.

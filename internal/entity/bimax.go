@@ -1,10 +1,6 @@
 package entity
 
-import (
-	"sort"
-
-	"jxplain/internal/dist"
-)
+import "sort"
 
 // Cluster is one discovered entity: a group of input key sets together
 // with its maximal element (the union of all member key sets — for
@@ -247,85 +243,6 @@ func Transpose(sets []KeySet, dim int) []KeySet {
 		}
 	}
 	return cols
-}
-
-// TransposeParallel is Transpose fanned out over workers. Row stripes are
-// aligned to 64-row boundaries, so each worker writes a disjoint word
-// range of every column bitset and the shared column storage needs no
-// locks; a first (parallel) presence pass determines which columns are
-// non-empty so storage is allocated exactly as the serial walk would.
-// Output is identical to Transpose.
-func TransposeParallel(sets []KeySet, dim, workers int) []KeySet {
-	stripes := transposeStripes(len(sets), workers)
-	if len(stripes) <= 1 {
-		return Transpose(sets, dim)
-	}
-	pool := dist.NewPool(len(stripes))
-	// Pass 1: which columns does each stripe touch?
-	present := make([][]bool, len(stripes))
-	pool.ForEach(len(stripes), func(si int) {
-		p := make([]bool, dim)
-		for _, ks := range sets[stripes[si][0]:stripes[si][1]] {
-			ks.Each(func(id int) {
-				if id < dim {
-					p[id] = true
-				}
-			})
-		}
-		present[si] = p
-	})
-
-	words := (len(sets) + wordBits - 1) / wordBits
-	cols := make([]KeySet, dim)
-	for id := 0; id < dim; id++ {
-		for _, p := range present {
-			if p[id] {
-				cols[id] = make(KeySet, words)
-				break
-			}
-		}
-	}
-	// Pass 2: fill. Stripe s writes only words [lo/64, hi/64) of each
-	// column — disjoint across stripes by the 64-row alignment.
-	pool.ForEach(len(stripes), func(si int) {
-		for ri := stripes[si][0]; ri < stripes[si][1]; ri++ {
-			sets[ri].Each(func(id int) {
-				if id < dim {
-					cols[id][ri/wordBits] |= 1 << (uint(ri) % wordBits)
-				}
-			})
-		}
-	})
-	for i, c := range cols {
-		if c == nil {
-			cols[i] = KeySet{}
-		} else {
-			cols[i] = c.trim()
-		}
-	}
-	return cols
-}
-
-// transposeStripes splits n rows into up to `workers` stripes aligned to
-// 64-row boundaries (so stripes own disjoint bitset words).
-func transposeStripes(n, workers int) [][2]int {
-	if workers < 1 {
-		workers = 1
-	}
-	per := (n + workers - 1) / workers
-	per = (per + wordBits - 1) / wordBits * wordBits
-	if per < wordBits {
-		per = wordBits
-	}
-	var stripes [][2]int
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		stripes = append(stripes, [2]int{lo, hi})
-	}
-	return stripes
 }
 
 // BimaxColumns returns the feature ids in Bimax order: features whose

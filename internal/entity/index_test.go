@@ -2,8 +2,11 @@ package entity
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"jxplain/internal/dataset"
 )
 
 // randomBag generates sets with clustered structure (a few "families"
@@ -100,11 +103,25 @@ func TestIndexCandidatesMatchIntersects(t *testing.T) {
 
 // clustersEqual compares cluster slices structurally, including order.
 func clustersEqual(a, b []Cluster) bool {
+	if !sameClusterStructure(a, b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Weight != b[i].Weight {
+			return false
+		}
+	}
+	return true
+}
+
+// sameClusterStructure compares Max and Members, in order, ignoring
+// weights.
+func sameClusterStructure(a, b []Cluster) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !a[i].Max.Equal(b[i].Max) || len(a[i].Members) != len(b[i].Members) || a[i].Weight != b[i].Weight {
+		if !a[i].Max.Equal(b[i].Max) || len(a[i].Members) != len(b[i].Members) {
 			return false
 		}
 		for j := range a[i].Members {
@@ -203,48 +220,45 @@ func TestFindCoverIndexedMatchesRef(t *testing.T) {
 	}
 }
 
-func TestTransposeParallelMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 30; trial++ {
-		sets := randomBag(r, r.Intn(300))
-		dim := 0
-		for _, s := range sets {
-			if n := len(s) * wordBits; n > dim {
-				dim = n
-			}
-		}
-		dim += r.Intn(5) // some trailing never-present columns
-		serial := Transpose(sets, dim)
-		for _, workers := range []int{0, 1, 2, 4, 7} {
-			par := TransposeParallel(sets, dim, workers)
-			if len(par) != len(serial) {
-				t.Fatalf("workers=%d: %d cols, want %d", workers, len(par), len(serial))
-			}
-			for c := range serial {
-				if !serial[c].Equal(par[c]) {
-					t.Fatalf("workers=%d col %d: %v != %v", workers, c, par[c], serial[c])
+// TestDiscoverEntitiesMatchesReferenceOnWideData runs the weighted,
+// posting-index pipeline against the quadratic reference (size-sorted
+// Bimax with full rescans, then the rescanning GreedyMerge) over the wide
+// scaling family at 5% of its default size and at 4× that. The
+// clusterings must agree in structure — Max and Members, in order;
+// weights are excluded because the unweighted reference counts member
+// sets, not records — and the indexed clusters' weights must add up to
+// the record count.
+func TestDiscoverEntitiesMatchesReferenceOnWideData(t *testing.T) {
+	for _, g := range dataset.WideRegistry() {
+		for _, mult := range []int{1, 4} {
+			n := max(g.DefaultN/20, 20) * mult
+			dict := NewDict()
+			var sets []KeySet
+			for _, rec := range g.Generate(n, 1) {
+				obj, ok := rec.Value.(map[string]any)
+				if !ok {
+					t.Fatalf("%s emits non-object records", g.Name)
 				}
+				names := make([]string, 0, len(obj))
+				for k := range obj {
+					names = append(names, k)
+				}
+				sort.Strings(names)
+				sets = append(sets, KeySetOf(dict, names...))
 			}
-		}
-	}
-}
+			w, _ := DedupKeySets(sets)
 
-func TestTransposeStripesAligned(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-		for _, w := range []int{1, 2, 3, 8} {
-			stripes := transposeStripes(n, w)
-			covered := 0
-			for i, st := range stripes {
-				if st[0]%wordBits != 0 {
-					t.Fatalf("n=%d w=%d stripe %d starts at %d (unaligned)", n, w, i, st[0])
-				}
-				if st[0] != covered {
-					t.Fatalf("n=%d w=%d stripe %d gap", n, w, i)
-				}
-				covered = st[1]
+			got := DiscoverEntities(w, true)
+			if want := GreedyMergeRef(BimaxNaiveRef(w.Sets)); !sameClusterStructure(got, want) {
+				t.Fatalf("%s ×%d: indexed clustering (%d clusters) diverges from the reference (%d clusters)",
+					g.Name, mult, len(got), len(want))
 			}
-			if n > 0 && covered != n {
-				t.Fatalf("n=%d w=%d covered %d", n, w, covered)
+			total := 0
+			for _, c := range got {
+				total += c.Weight
+			}
+			if total != len(sets) {
+				t.Fatalf("%s ×%d: cluster weights sum to %d, want %d records", g.Name, mult, total, len(sets))
 			}
 		}
 	}

@@ -232,18 +232,35 @@ func Records(r io.Reader, opts Options, fn func(rec []byte) error) error {
 		return lines.err
 	}
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
-	record := 0
-	for dec.More() {
+	for record := 1; ; record++ {
+		more, err := More(dec, record)
+		if !more {
+			return err
+		}
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
-			return fmt.Errorf("record %d: %w", record+1, err)
+			return fmt.Errorf("record %d: %w", record, err)
 		}
-		record++
 		if err := fn(raw); err != nil {
 			return err
 		}
 	}
-	return nil
+}
+
+// More reports whether dec holds another top-level JSON value, the
+// record-th of the stream. json.Decoder.More also answers false at a
+// stray top-level ']' or '}' and on a read error, so a framing loop that
+// stopped there would drop the rest of the stream without a word; More
+// answers those with a "record N: …" error instead, and (false, nil)
+// only at a clean end of input.
+func More(dec *json.Decoder, record int) (bool, error) {
+	if dec.More() {
+		return true, nil
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return false, fmt.Errorf("record %d: %w", record, err)
+	}
+	return false, nil
 }
 
 // split frames the stream into raw chunks. It returns nil at EOF and
@@ -295,16 +312,21 @@ func split(ctx context.Context, r io.Reader, opts Options, out chan<- rawChunk) 
 	// stays sequential because value boundaries require a token scan.
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	var batch [][]byte
-	record, firstRecord := 0, 0
-	for dec.More() {
+	firstRecord := 0
+	for record := 1; ; record++ {
+		if more, err := More(dec, record); !more {
+			if err != nil {
+				return err
+			}
+			break
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
-			return fmt.Errorf("record %d: %w", record+1, err)
+			return fmt.Errorf("record %d: %w", record, err)
 		}
-		record++
 		if len(batch) == 0 {
 			firstRecord = record
 		}

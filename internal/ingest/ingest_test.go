@@ -100,6 +100,38 @@ func TestEachDecodeErrors(t *testing.T) {
 	}
 }
 
+// bagCount is a BagFolder that counts the records folded into it.
+type bagCount int
+
+func (c *bagCount) AddBag(b *jsontype.Bag) { *c += bagCount(b.Len()) }
+
+// A stray top-level ']' or '}' in concatenated JSON is a framing error
+// naming the record it stands in for; json.Decoder.More alone treats it
+// as the end of the stream and would drop every record after it.
+func TestConcatenatedStrayCloserFails(t *testing.T) {
+	for _, input := range []string{
+		`{"a":1} ] {"b":"x"}`,
+		`{"a":1} } {"b":"x"}`,
+		`{"a":1}]`,
+	} {
+		n := 0
+		err := Records(strings.NewReader(input), Options{}, func([]byte) error { n++; return nil })
+		if err == nil || !strings.HasPrefix(err.Error(), "record 2:") {
+			t.Errorf("Records(%q) after %d records: err = %v, want record 2: …", input, n, err)
+		}
+		var folded bagCount
+		_, err = Fold(context.Background(), strings.NewReader(input), Options{}, &folded)
+		if err == nil || !strings.HasPrefix(err.Error(), "record 2:") {
+			t.Errorf("Fold(%q) after %d records: err = %v, want record 2: …", input, folded, err)
+		}
+	}
+	// Trailing whitespace is still a clean end.
+	var folded bagCount
+	if n, err := Fold(context.Background(), strings.NewReader("{\"a\":1} [2]\n\t "), Options{}, &folded); err != nil || n != 2 {
+		t.Errorf("clean input: n = %d, err = %v", n, err)
+	}
+}
+
 func TestEachCallbackError(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0

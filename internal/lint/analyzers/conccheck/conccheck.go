@@ -1,11 +1,11 @@
 // Package conccheck enforces the goroutine discipline the deterministic
 // pipeline depends on. Every parallel stage fans in through a bounded
 // pool helper (dist.Pool.ForEach, the inline-fallback pool that
-// dist.Map/Fold/ForEach, core synthesis and TransposeParallel spawn
-// through; the ingest worker pool; the stats memory sampler);
-// determinism then rests on two structural properties: goroutines are
-// spawned only inside those helpers, and spawned closures communicate
-// results exclusively through index-disjoint slice stores or channels —
+// dist.Map/Fold/ForEach and core synthesis spawn through; the ingest
+// worker pool; the stats memory sampler); determinism then rests on two
+// structural properties: goroutines are spawned only inside those
+// helpers, and spawned closures communicate results exclusively through
+// index-disjoint slice stores or channels —
 // never through a shared append, map write, or captured-variable
 // assignment, whose interleavings would leak scheduling into output.
 //

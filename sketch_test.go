@@ -36,11 +36,11 @@ func splitJSONLContiguous(input []byte, n int) [][]byte {
 }
 
 // TestDiscovererSketchShardEquivalence is the facade-level map/reduce
-// check: shard a stream contiguously, fold each shard in its own
-// Discoverer (a map worker), ship each sketch through MarshalSketch, and
-// reduce by merging in shard order. The reduced schema must be
-// byte-identical to single-stream discovery — shard boundaries and the
-// wire crossing leave no trace.
+// check: shard a stream contiguously into 1, 2, 4 and 8 shards, fold each
+// shard in its own Discoverer (a map worker), ship each sketch through
+// MarshalSketch, and reduce by merging in shard order. The reduced schema
+// must be byte-identical to single-stream discovery at every width —
+// shard boundaries and the wire crossing leave no trace.
 func TestDiscovererSketchShardEquivalence(t *testing.T) {
 	cfg := DefaultConfig()
 	ctx := context.Background()
@@ -56,33 +56,35 @@ func TestDiscovererSketchShardEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		reducer := NewDiscoverer(cfg)
-		records := 0
-		for si, shard := range splitJSONLContiguous(input, 3) {
-			mapper := NewDiscoverer(cfg)
-			n, err := mapper.AddStream(ctx, bytes.NewReader(shard), StreamOptions{JSONL: true})
+		for _, shards := range []int{1, 2, 4, 8} {
+			reducer := NewDiscoverer(cfg)
+			records := 0
+			for si, shard := range splitJSONLContiguous(input, shards) {
+				mapper := NewDiscoverer(cfg)
+				n, err := mapper.AddStream(ctx, bytes.NewReader(shard), StreamOptions{JSONL: true})
+				if err != nil {
+					t.Fatalf("%s/%d shard %d: %v", g.Name, shards, si, err)
+				}
+				records += n
+				sketch, err := mapper.MarshalSketch()
+				if err != nil {
+					t.Fatalf("%s/%d shard %d: %v", g.Name, shards, si, err)
+				}
+				if err := reducer.MergeSketch(sketch); err != nil {
+					t.Fatalf("%s/%d shard %d: %v", g.Name, shards, si, err)
+				}
+			}
+			if records != single.Records() || reducer.Records() != single.Records() {
+				t.Fatalf("%s/%d: record counts diverge: shards %d, reduced %d, single %d",
+					g.Name, shards, records, reducer.Records(), single.Records())
+			}
+			got, err := MarshalSchema(reducer.Finish())
 			if err != nil {
-				t.Fatalf("%s shard %d: %v", g.Name, si, err)
+				t.Fatal(err)
 			}
-			records += n
-			sketch, err := mapper.MarshalSketch()
-			if err != nil {
-				t.Fatalf("%s shard %d: %v", g.Name, si, err)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s/%d: sharded schema diverges from single-stream\ngot:  %s\nwant: %s", g.Name, shards, got, want)
 			}
-			if err := reducer.MergeSketch(sketch); err != nil {
-				t.Fatalf("%s shard %d: %v", g.Name, si, err)
-			}
-		}
-		if records != single.Records() || reducer.Records() != single.Records() {
-			t.Fatalf("%s: record counts diverge: shards %d, reduced %d, single %d",
-				g.Name, records, reducer.Records(), single.Records())
-		}
-		got, err := MarshalSchema(reducer.Finish())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: sharded schema diverges from single-stream\ngot:  %s\nwant: %s", g.Name, got, want)
 		}
 	}
 }
